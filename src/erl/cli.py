@@ -6,8 +6,9 @@
     erl scenario NAME | --file S.json            exit 0 iff all expectations met
 
 Budgets and the logic are set by flags (--logic, --max-constants, --max-steps,
---closure-budget, --carrier-bound, --output, --seed, --workers) or by the
-matching ERL_* environment variables.  Usage and data errors exit with 64/65.
+--closure-budget, --carrier-bound, --output, --seed) or by the matching ERL_*
+environment variables.  Usage errors, bad flag or ERL_* values among them,
+exit with 64; data errors exit with 65.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .checker import explain, find_countermodel
-from .config import Budget, RunConfig, config_from_env
-from .errors import ErlError
+from .config import RunConfig, resolve_config
+from .errors import ConfigError, ErlError
 from .models import load_model, model_to_json
 from .scenarios import builtin_scenario, builtin_scenarios, load_scenario, \
     run_scenario, scenario_to_json
@@ -38,30 +38,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--carrier-bound", type=int, default=None)
     p.add_argument("--output", choices=["text", "json"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-
-
-def _config(args) -> RunConfig:
-    cfg = config_from_env()
-    budget = cfg.budget
-    if args.max_constants is not None:
-        budget = replace(budget, max_constants=args.max_constants)
-    if args.max_steps is not None:
-        budget = replace(budget, max_steps=args.max_steps)
-    if args.closure_budget is not None:
-        budget = replace(budget, closure_max_card=args.closure_budget)
-    cfg = replace(cfg, budget=budget)
-    if args.carrier_bound is not None:
-        cfg = replace(cfg, carrier_bound=args.carrier_bound)
-    if args.output is not None:
-        cfg = replace(cfg, output=args.output)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.logic is not None:
-        cfg = replace(cfg, logic=args.logic)
-    return cfg
 
 
 def _emit(data: dict, cfg: RunConfig, text_lines: list[str]) -> None:
@@ -72,8 +48,7 @@ def _emit(data: dict, cfg: RunConfig, text_lines: list[str]) -> None:
             print(line)
 
 
-def cmd_prove(args) -> int:
-    cfg = _config(args)
+def cmd_prove(args, cfg: RunConfig) -> int:
     sig = load_signature(args.sig)
     phi = parse_formula(args.formula, sig)
     outcome = prove(phi, sig, cfg)
@@ -93,8 +68,7 @@ def cmd_prove(args) -> int:
     return {"proved": 0, "refuted": 1, "unknown": 2}[outcome.verdict]
 
 
-def cmd_check(args) -> int:
-    cfg = _config(args)
+def cmd_check(args, cfg: RunConfig) -> int:
     sig = load_signature(args.sig) if args.sig else None
     model, embedded_world = load_model(args.model, sig)
     world = args.at or embedded_world
@@ -113,8 +87,7 @@ def cmd_check(args) -> int:
     return 0 if judgment.verdict else 1
 
 
-def cmd_search(args) -> int:
-    cfg = _config(args)
+def cmd_search(args, cfg: RunConfig) -> int:
     sig = load_signature(args.sig)
     phi = parse_formula(args.formula, sig)
     found = find_countermodel(phi, sig, cfg.carrier_bound, cfg.logic)
@@ -132,8 +105,7 @@ def cmd_search(args) -> int:
     return 1
 
 
-def cmd_scenario(args) -> int:
-    cfg = _config(args)
+def cmd_scenario(args, cfg: RunConfig) -> int:
     if args.list:
         for s in builtin_scenarios():
             print(f"{s.name}: {s.description}")
@@ -202,7 +174,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        cfg = resolve_config(vars(args))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
+    try:
+        return args.fn(args, cfg)
     except ErlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA

@@ -1,13 +1,16 @@
 """Run configuration: search budgets, logic selection, output control.
 
 Environment variables with the prefix ``ERL_`` (e.g. ``ERL_MAX_CONSTANTS``)
-override the defaults; explicit CLI flags override both.
+override the defaults; explicit CLI flags override both.  A value that does
+not parse or is out of range raises ``ConfigError`` naming its source.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+
+from .errors import ConfigError
 
 ERL = "erl"
 ERL_STAR = "erl-star"
@@ -49,47 +52,54 @@ class RunConfig:
     carrier_bound: int = 4
     output: str = "text"
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         is_star(self.logic)
-        if self.carrier_bound < 1 or self.workers < 1:
+        if self.carrier_bound < 1:
             raise ValueError("budgets must be positive")
         if self.output not in ("text", "json"):
             raise ValueError(f"unknown output mode {self.output!r}")
 
 
-_ENV_INT = ("MAX_CONSTANTS", "MAX_STEPS", "CLOSURE_BUDGET", "CARRIER_BOUND",
-            "SEED", "WORKERS")
+# Override names: the flag is --max-steps for max_steps, the variable
+# ERL_MAX_STEPS.  Budget fields are set on RunConfig.budget.
+_OPTIONS = ("max_constants", "max_steps", "closure_budget", "carrier_bound",
+            "seed", "logic", "output")
+_BUDGET_FIELD = {"max_constants": "max_constants", "max_steps": "max_steps",
+                 "closure_budget": "closure_max_card"}
+_STRING = ("logic", "output")
 
 
-def config_from_env(base: RunConfig | None = None,
-                    env: dict | None = None) -> RunConfig:
-    """Apply ``ERL_*`` environment overrides on top of ``base``."""
-    env = os.environ if env is None else env
-    cfg = base if base is not None else RunConfig()
-    budget = cfg.budget
+def _parse(name: str, value):
+    if name in _STRING:
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("not an integer") from None
 
-    def _int(name):
-        raw = env.get("ERL_" + name)
-        return None if raw is None else int(raw)
 
-    vals = {name: _int(name) for name in _ENV_INT}
-    if vals["MAX_CONSTANTS"] is not None:
-        budget = replace(budget, max_constants=vals["MAX_CONSTANTS"])
-    if vals["MAX_STEPS"] is not None:
-        budget = replace(budget, max_steps=vals["MAX_STEPS"])
-    if vals["CLOSURE_BUDGET"] is not None:
-        budget = replace(budget, closure_max_card=vals["CLOSURE_BUDGET"])
-    cfg = replace(cfg, budget=budget)
-    if vals["CARRIER_BOUND"] is not None:
-        cfg = replace(cfg, carrier_bound=vals["CARRIER_BOUND"])
-    if vals["SEED"] is not None:
-        cfg = replace(cfg, seed=vals["SEED"])
-    if vals["WORKERS"] is not None:
-        cfg = replace(cfg, workers=vals["WORKERS"])
-    if env.get("ERL_LOGIC"):
-        cfg = replace(cfg, logic=env["ERL_LOGIC"])
-    if env.get("ERL_OUTPUT"):
-        cfg = replace(cfg, output=env["ERL_OUTPUT"])
+def resolve_config(flags=None) -> RunConfig:
+    """``RunConfig()`` with the ``ERL_*`` environment variables applied,
+    then the non-None entries of the ``flags`` mapping; flags win.  Empty
+    variables count as unset."""
+    flags = flags or {}
+    settings = [(f"ERL_{name.upper()}", name,
+                 os.environ.get(f"ERL_{name.upper()}") or None)
+                for name in _OPTIONS]
+    settings += [("--" + name.replace("_", "-"), name, flags.get(name))
+                 for name in _OPTIONS]
+    cfg = RunConfig()
+    for source, name, value in settings:
+        if value is None:
+            continue
+        try:
+            value = _parse(name, value)
+            if name in _BUDGET_FIELD:
+                budget = replace(cfg.budget, **{_BUDGET_FIELD[name]: value})
+                cfg = replace(cfg, budget=budget)
+            else:
+                cfg = replace(cfg, **{name: value})
+        except ValueError as exc:
+            raise ConfigError(f"{source}={value!r}: {exc}") from None
     return cfg

@@ -23,6 +23,10 @@ class UnknownResourceError(ErlError):
         self.name = name
 
 
+class ConfigError(ErlError):
+    """A budget or mode given by a flag or an ERL_* variable is invalid."""
+
+
 class SignatureError(ErlError):
     """Raised when a signature fails validation at load time."""
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .checker import satisfies
+from .closing import branch_witness, describe_closure_witness
 from .errors import NotHintikka
-from .labels import (Closure, EPSILON, label_key, label_str, lam, lmul, lsub)
+from .labels import (Closure, EPSILON, label_key, label_str, lmul, lsub,
+                     modal_partners)
 from .models import Model, make_model, validate_model
-from .syntax import (And, Atom, Bot, Implies, Modal, Not, Or, Signature,
-                     Star, Top, Unit, Wand, C, D, E, CDUAL, DDUAL, EDUAL,
-                     format_formula)
+from .syntax import (And, Atom, Implies, Modal, Not, Or, Signature, Star,
+                     Unit, Wand, C, D, E, CDUAL, DDUAL, EDUAL, format_formula)
 
 
 def _membership(formulas):
@@ -46,23 +47,11 @@ def is_hintikka(formulas, closure: Closure, sig: Signature):
         return x in (t_map if side == "T" else f_map).get(phi, ())
 
     # 1-4: openness
-    for phi in sorted(t_map, key=lambda f: format_formula(f, sig.unit)):
-        xs = t_map[phi]
-        ys = f_map.get(phi, ())
-        for x in sorted(xs, key=label_key):
-            for y in sorted(ys, key=label_key):
-                if closure.has_res(x, y):
-                    return (1, {"formula": format_formula(phi, sig.unit),
-                                "labels": [label_str(x), label_str(y)]})
-    for x in sorted(f_map.get(Unit(), ()), key=label_key):
-        if closure.has_res(x, EPSILON):
-            return (2, {"label": label_str(x)})
-    if f_map.get(Top()):
-        x = min(f_map[Top()], key=label_key)
-        return (3, {"label": label_str(x)})
-    if t_map.get(Bot()):
-        x = min(t_map[Bot()], key=label_key)
-        return (4, {"label": label_str(x)})
+    witness = branch_witness(t_map, f_map, closure,
+                             formula_key=lambda f: format_formula(f, sig.unit))
+    if witness is not None:
+        data = describe_closure_witness(witness, sig.unit)
+        return (data.pop("condition"), data)
 
     # 5-29: saturation.  Collect everything and report the lowest-numbered
     # violated condition (deterministically, sets have no stable order).
@@ -81,6 +70,24 @@ def is_hintikka(formulas, closure: Closure, sig: Signature):
         idx, _, data = min(found, key=lambda f: (f[0], f[1], sorted(f[2].items())))
         return (idx, data)
     return None
+
+
+# (modality, sign is T) -> (condition index, sign the partners need,
+# whether every partner needs it)
+_MODAL_CONDITIONS = {
+    (C, True): (18, "T", True),
+    (C, False): (19, "F", False),
+    (D, True): (20, "T", False),
+    (D, False): (21, "F", True),
+    (E, True): (22, "T", True),
+    (E, False): (23, "F", False),
+    (CDUAL, True): (24, "T", False),
+    (CDUAL, False): (25, "F", True),
+    (DDUAL, True): (26, "T", True),
+    (DDUAL, False): (27, "F", False),
+    (EDUAL, True): (28, "T", False),
+    (EDUAL, False): (29, "F", True),
+}
 
 
 def _saturation_condition(sign, phi, x, closure, has, dom, sig):
@@ -138,28 +145,8 @@ def _saturation_condition(sign, phi, x, closure, has, dom, sig):
                 return (17, {})
         return None
     if isinstance(phi, Modal):
-        u, lam_t = phi.agent, lam(phi.term)
-        xl = lmul(x, lam_t)
-        partners = closure.partners_agent(u, xl)
-        via_suffix = [lmul(y, lam_t)
-                      for y in closure.partners_agent(u, x, suffix=lam_t)]
-        both = [lmul(y, lam_t)
-                for y in closure.partners_agent(u, xl, suffix=lam_t)]
-        checks = {
-            (C, True): (18, partners, "T", True),
-            (C, False): (19, partners, "F", False),
-            (D, True): (20, via_suffix, "T", False),
-            (D, False): (21, via_suffix, "F", True),
-            (E, True): (22, both, "T", True),
-            (E, False): (23, both, "F", False),
-            (CDUAL, True): (24, partners, "T", False),
-            (CDUAL, False): (25, partners, "F", True),
-            (DDUAL, True): (26, via_suffix, "T", True),
-            (DDUAL, False): (27, via_suffix, "F", False),
-            (EDUAL, True): (28, both, "T", False),
-            (EDUAL, False): (29, both, "F", True),
-        }
-        idx, options, want_sign, universal = checks[(phi.op, t)]
+        idx, want_sign, universal = _MODAL_CONDITIONS[(phi.op, t)]
+        options = modal_partners(closure, phi, x)
         if universal:
             for y in options:
                 if not has(want_sign, phi.body, y):
@@ -188,17 +175,7 @@ class EquivalenceIndex:
 
 
 def build_index(closure: Closure, sig: Signature) -> EquivalenceIndex:
-    dom = closure.domain()
-    class_of: dict = {}
-    classes: list = []
-    for x in dom:
-        if x in class_of:
-            continue
-        members = sorted(set(closure.partners_res(x)) | {x}, key=label_key)
-        pos = len(classes)
-        classes.append(members)
-        for y in members:
-            class_of[y] = pos
+    class_of, classes = closure.classes()
     rep_label: dict = {}
     world_name: dict = {}
     warnings: list = []

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from .syntax import Term
+from .syntax import BASE_OF, C, D, Modal, Term
 
 Label = tuple  # sorted tuple of constant names
 
@@ -272,6 +272,21 @@ class Closure:
                 out.append(y)
         return sorted(set(out), key=label_key)
 
+    def classes(self) -> tuple[dict, list]:
+        """Partition of the domain under the resource relation: (label ->
+        class position, classes as label_key-sorted member lists)."""
+        class_of: dict = {}
+        classes: list = []
+        for x in self.domain():
+            if x in class_of:
+                continue
+            members = sorted(set(self.partners_res(x)) | {x}, key=label_key)
+            pos = len(classes)
+            classes.append(members)
+            for y in members:
+                class_of[y] = pos
+        return class_of, classes
+
     def splits(self, x: Label) -> list:
         """All ordered pairs (y, z) with x ~ y.z in the closure."""
         out = set()
@@ -430,6 +445,23 @@ class Closure:
                     self._push(("a", u, lmul(x, k), w), "c_a", (fact, ("r", w, w)))
 
 
+def modal_partners(closure: Closure, phi: Modal, x: Label) -> list:
+    """The labels that ``phi``'s modality reaches from ``x`` in the closure,
+    where u is the agent and l = lam(term) the local resource of ``phi``:
+
+        C and its dual:  y      with x.l ~[u] y
+        D and its dual:  y.l    with x   ~[u] y.l
+        E and its dual:  y.l    with x.l ~[u] y.l
+    """
+    family = BASE_OF.get(phi.op, phi.op)
+    lam_t = lam(phi.term)
+    source = x if family == D else lmul(x, lam_t)
+    if family == C:
+        return closure.partners_agent(phi.agent, source)
+    return [lmul(y, lam_t)
+            for y in closure.partners_agent(phi.agent, source, suffix=lam_t)]
+
+
 def _replay_step(cl: Closure, rule: str, premises: tuple, fact: tuple) -> bool:
     """Check that ``fact`` is exactly what ``rule`` concludes from ``premises``."""
     for p in premises:
@@ -484,21 +516,6 @@ def _replay_step(cl: Closure, rule: str, premises: tuple, fact: tuple) -> bool:
 # Checks used by the test harness
 
 
-def _classes(cl: Closure) -> tuple[dict, list]:
-    """Partition of the domain under the resource relation."""
-    class_of: dict = {}
-    classes: list = []
-    for x in cl.domain():
-        if x in class_of:
-            continue
-        members = sorted(set(cl.partners_res(x)) | {x}, key=label_key)
-        pos = len(classes)
-        classes.append(members)
-        for y in members:
-            class_of[y] = pos
-    return class_of, classes
-
-
 def derived_rule_check(cl: Closure) -> list[tuple]:
     """Verify the five derivable rules on every stored fact; returns the
     violating instances (empty = all hold)."""
@@ -510,7 +527,7 @@ def derived_rule_check(cl: Closure) -> list[tuple]:
         for sub in sublabels(y):          # p_r
             if not cl.has_res(sub, sub):
                 bad.append(("p_r", (x, y), sub))
-    class_of, classes = _classes(cl)
+    class_of, classes = cl.classes()
     linked: set = set()
     for (u, x, y) in cl.agent_facts():
         for sub in sublabels(x):          # q_l
@@ -546,7 +563,7 @@ def corollary_check(cl: Closure) -> list[tuple]:
                 if sub not in dom:
                     bad.append(("domain", fact, sub))
     cap = cl.effective_card
-    class_of, classes = _classes(cl)
+    class_of, classes = cl.classes()
     # juxtaposition congruence, checked once per pair of classes whose
     # members compose into the domain
     composed: dict = {}

@@ -24,25 +24,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .closing import (F, T, SignedFormula, branch_witness, closing_witness,
+                      describe_closure_witness)
 from .config import RunConfig, is_star
 from .errors import StaleInstance
 from .labels import (AgentEq, Closure, EPSILON, ResEq, fact_str, label,
-                     label_str, lam, lmul, lsub, fresh_constant_name)
+                     label_str, lam, lmul, lsub, fresh_constant_name,
+                     modal_partners)
 from .syntax import (And, Atom, Bot, Formula, Implies, Modal, Not, Or,
-                     Signature, Star, Top, Unit, Wand, format_formula,
-                     C, D, E, CDUAL, DDUAL, EDUAL)
-
-T, F = "T", "F"
-
-
-@dataclass(frozen=True)
-class SignedFormula:
-    sign: str
-    formula: Formula
-    label: tuple
-
-    def text(self, unit: str = "e") -> str:
-        return f"{self.sign} {format_formula(self.formula, unit)} : {label_str(self.label)}"
+                     Signature, Star, Top, Unit, Wand, C, D, E, CDUAL, DDUAL,
+                     EDUAL)
 
 
 @dataclass(frozen=True)
@@ -111,17 +102,8 @@ def condition_instances(rule: str, sf: SignedFormula, closure: Closure) -> list[
             if y is not None:
                 out.append((y,))
         return out
-    lam_t = lam(phi.term)
-    u = phi.agent
-    if rule in ("T_C", "F_Cd"):
-        return [(y,) for y in closure.partners_agent(u, lmul(x, lam_t))]
-    if rule in ("F_D", "T_Dd"):
-        return [(lmul(y, lam_t),)
-                for y in closure.partners_agent(u, x, suffix=lam_t)]
-    if rule in ("T_E", "F_Ed"):
-        xl = lmul(x, lam_t)
-        return [(lmul(y, lam_t),)
-                for y in closure.partners_agent(u, xl, suffix=lam_t)]
+    if rule in CONDITION_RULES:
+        return [(y,) for y in modal_partners(closure, phi, x)]
     raise ValueError(f"{rule} has no side condition")
 
 
@@ -303,48 +285,11 @@ class Branch:
     # -- closure conditions ----------------------------------------------------
 
     def _check_new_formula(self, sf: SignedFormula) -> None:
-        phi, x = sf.formula, sf.label
-        if sf.sign == F and isinstance(phi, Top):
-            self.closed = ("F_top", sf)
-            return
-        if sf.sign == T and isinstance(phi, Bot):
-            self.closed = ("T_bot", sf)
-            return
-        if sf.sign == F and isinstance(phi, Unit) and self.closure.has_res(x, EPSILON):
-            self.closed = ("F_I", sf)
-            return
-        other = self.f_labels if sf.sign == T else self.t_labels
-        for y in other.get(phi, ()):
-            a, b = (x, y) if sf.sign == T else (y, x)
-            if self.closure.has_res(a, b):
-                self.closed = ("clash", phi, a, b)
-                return
+        self.closed = closing_witness(sf.sign, sf.formula, sf.label,
+                                      self.t_labels, self.f_labels, self.closure)
 
     def recheck_closed(self) -> None:
-        for phi, xs in self.t_labels.items():
-            ys = self.f_labels.get(phi)
-            if not ys:
-                continue
-            for x in xs:
-                for y in ys:
-                    if self.closure.has_res(x, y):
-                        self.closed = ("clash", phi, x, y)
-                        return
-        for phi, xs in self.f_labels.items():
-            if isinstance(phi, Unit):
-                for x in xs:
-                    if self.closure.has_res(x, EPSILON):
-                        self.closed = ("F_I", SignedFormula(F, phi, x))
-                        return
-            if isinstance(phi, Top):
-                for x in xs:
-                    self.closed = ("F_top", SignedFormula(F, phi, x))
-                    return
-        for phi, xs in self.t_labels.items():
-            if isinstance(phi, Bot):
-                for x in xs:
-                    self.closed = ("T_bot", SignedFormula(T, phi, x))
-                    return
+        self.closed = branch_witness(self.t_labels, self.f_labels, self.closure)
 
     # -- scheduler -------------------------------------------------------------
 
@@ -383,19 +328,8 @@ class Branch:
         return ri
 
     def _would_close(self, sf: SignedFormula) -> bool:
-        phi, x = sf.formula, sf.label
-        if sf.sign == F and isinstance(phi, Top):
-            return True
-        if sf.sign == T and isinstance(phi, Bot):
-            return True
-        if sf.sign == F and isinstance(phi, Unit) and self.closure.has_res(x, EPSILON):
-            return True
-        other = self.f_labels if sf.sign == T else self.t_labels
-        for y in other.get(phi, ()):
-            a, b = (x, y) if sf.sign == T else (y, x)
-            if self.closure.has_res(a, b):
-                return True
-        return False
+        return closing_witness(sf.sign, sf.formula, sf.label, self.t_labels,
+                               self.f_labels, self.closure) is not None
 
     def pending(self) -> list:
         out = []
@@ -427,19 +361,6 @@ class Branch:
             "constraints": [str(c) for c in self.constraints],
             "closed": None if self.closed is None else describe_closure_witness(self.closed, unit),
         }
-
-
-def describe_closure_witness(witness: tuple, unit: str = "e") -> dict:
-    kind = witness[0]
-    if kind == "clash":
-        _, phi, x, y = witness
-        return {"condition": 1, "formula": format_formula(phi, unit),
-                "labels": [label_str(x), label_str(y)]}
-    if kind == "F_I":
-        return {"condition": 2, "label": label_str(witness[1].label)}
-    if kind == "F_top":
-        return {"condition": 3, "label": label_str(witness[1].label)}
-    return {"condition": 4, "label": label_str(witness[1].label)}
 
 
 def is_closed_branch(branch: Branch) -> tuple[bool, tuple | None]:
@@ -630,13 +551,6 @@ def _attempt(phi: Formula, sig: Signature, config: RunConfig, depth: int,
                 closure_max_card=config.budget.closure_max_card,
                 closure_max_facts=config.budget.closure_max_facts,
                 constant_limit=depth, seed=config.seed)
-    if config.workers > 1:
-        return _run_parallel(t, config, abort_on_starve)
-    return _run_sequential(t, config, abort_on_starve)
-
-
-def _run_sequential(t: Tableau, config: RunConfig,
-                    abort_on_starve: bool = False) -> ProofOutcome:
     max_steps = config.budget.max_steps
     refutation = None
     steps_exhausted = False
@@ -716,61 +630,3 @@ def _aggregate(t: Tableau, steps_exhausted: bool) -> ProofOutcome:
     return ProofOutcome("unknown", applications=t.applications,
                         trace=t.trace, closed_branches=t.closed_log,
                         diagnostics=diagnostics)
-
-
-def _run_parallel(t: Tableau, config: RunConfig,
-                  abort_on_starve: bool = False) -> ProofOutcome:
-    """Branch-level concurrency: each worker owns one branch at a time and
-    expands it to a terminal state; children split off as new tasks.  The
-    first verified countermodel wins; proved requires every branch closed.
-    Trace order may differ from the sequential run, verdicts may not."""
-    import threading
-    from concurrent.futures import ThreadPoolExecutor, wait, FIRST_COMPLETED
-
-    lock = threading.Lock()
-    stop = threading.Event()
-    result: list[ProofOutcome] = []
-    steps_flag: list[bool] = []
-    max_steps = config.budget.max_steps
-
-    def work(b):
-        spawned = []
-        while not stop.is_set():
-            if b.closed is not None:
-                return spawned
-            ri = b.pop()
-            if ri is None:
-                with lock:
-                    if not stop.is_set():
-                        refut = _saturated(t, b, config)
-                        if refut is not None:
-                            result.append(refut)
-                            stop.set()
-                return spawned
-            if not t.can_afford(ri.rule):
-                b.starved = True
-                if abort_on_starve:
-                    stop.set()
-                    return spawned
-                continue
-            with lock:
-                if t.applications >= max_steps:
-                    steps_flag.append(True)
-                    stop.set()
-                    return spawned
-                pos = next(i for i, br in enumerate(t.branches) if br is b)
-                child_ids = t._apply(pos, ri)
-                by_id = {br.id: br for br in t.branches}
-                spawned.extend(by_id[cid] for cid in child_ids[1:])
-        return spawned
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = {pool.submit(work, b) for b in t.branches}
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for fut in done:
-                for nb in fut.result():
-                    futures.add(pool.submit(work, nb))
-    if result:
-        return result[0]
-    return _aggregate(t, bool(steps_flag))

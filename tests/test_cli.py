@@ -120,5 +120,19 @@ def test_env_overrides(sig_file, tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_usage_error_exit(capsys):
+def test_usage_error_exit(sig_file, tmp_path, capsys, monkeypatch):
     assert main(["prove"]) == 64
+    prove = ["prove", "--sig", sig_file, "p -> p",
+             "--countermodel-out", str(tmp_path / "cm.json")]
+    # bad flag and ERL_* values: a one-line message, no traceback
+    for flags, env in [(["--max-steps", "0"], {}),
+                       (["--carrier-bound", "0"], {}),
+                       ([], {"ERL_MAX_STEPS": "abc"}),
+                       ([], {"ERL_LOGIC": "bogus"})]:
+        with monkeypatch.context() as m:
+            for name, value in env.items():
+                m.setenv(name, value)
+            capsys.readouterr()
+            assert main(prove + flags) == 64, (flags, env)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -215,18 +215,6 @@ def test_confluence_across_seeds(sig_a, sig_bbi):
             assert out.verdict == want, (text, seed, out.verdict)
 
 
-def test_parallel_workers_same_verdicts(sig_a, sig_bbi):
-    cases = [
-        (sig_bbi, "p * q -> q * p", "erl", "proved"),
-        (sig_a, "[C a; s] p -> [C a; s] [C a; r] p", "erl", "refuted"),
-        (sig_bbi, "(p & !p) -> bot", "erl", "proved"),
-    ]
-    for sig, text, logic, want in cases:
-        phi = parse_formula(text, sig)
-        out = prove(phi, sig, RunConfig(logic=logic, workers=3))
-        assert out.verdict == want, (text, out.verdict)
-
-
 def test_refuted_under_star_extracts_compatible_model(sig_a):
     phi = parse_formula("[C a; s] p -> [C a; s] [C a; r] p", sig_a)
     out = prove(phi, sig_a, cfg("erl-star"))
