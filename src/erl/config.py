@@ -36,7 +36,6 @@ class Budget:
     max_constants: int = 8
     max_steps: int = 10_000
     closure_max_card: int | None = 6
-    closure_max_facts: int = 200_000
 
     def __post_init__(self):
         if self.max_constants < 0 or self.max_steps <= 0:

@@ -6,7 +6,7 @@ non-unit resource (written as the resource name) or a fresh constant
 is the image of the unit.
 
 Constraints relate labels: ``x ~ y`` on resources, or ``x ~[u] y`` for an
-agent ``u``.  The closure engine saturates a constraint set under the rules
+agent ``u``.  Their closure is the least set of facts closed under the rules
 
     eps:            |- eps ~ eps
     s_r: x ~ y      |- y ~ x
@@ -25,7 +25,7 @@ and, when the compatible variant of the logic is selected,
 
 Saturation is budgeted by a maximum label cardinality: rule instances whose
 conclusion exceeds the budget are suppressed and a flag records the loss of
-completeness.  Every stored fact carries a replayable derivation.
+completeness.  Every fact has a replayable derivation, built on demand.
 """
 
 from __future__ import annotations
@@ -168,8 +168,19 @@ def fact_labels(fact: tuple) -> tuple[Label, Label]:
     return (fact[1], fact[2]) if fact[0] == "r" else (fact[2], fact[3])
 
 
+def _fact(u: str | None, x: Label, y: Label) -> tuple:
+    return ("r", x, y) if u is None else ("a", u, x, y)
+
+
 class Closure:
-    """Budgeted forward saturation of a constraint set.
+    """Budgeted closure of a constraint set, stored as equivalence classes.
+
+    The store keeps the domain (the labels x with x ~ x, each with the step
+    deriving x ~ x), its partition into resource classes (kind None) and,
+    coarser, agent classes, and per kind a proof forest with one edge per
+    union, holding the fact joined on with its rule and premises (after
+    Nieuwenhuis and Oliveras, RTA 2005).  Only d_r, c_r and c_a fire; the
+    steps of the other rules are built from forest paths on demand.
 
     Queries are sound for any budget; they are complete for every derivation
     whose intermediate labels stay within the cardinality budget.  When an
@@ -178,47 +189,48 @@ class Closure:
     """
 
     def __init__(self, agents: Iterable[str], erl_star: bool = False,
-                 max_card: int | None = None, max_facts: int = 200_000):
+                 max_card: int | None = None):
         self.agents = tuple(sorted(agents))
         self.erl_star = erl_star
         self._max_card_param = max_card
-        self.max_facts = max_facts
         self.base: list = []
         self.budget_hit = False
-        self._facts: dict[tuple, tuple] = {}   # fact -> (rule, premises)
-        self._res_left: dict[Label, set] = {}
-        self._agent_left: dict[tuple, set] = {}
-        self._refl: set = set()
-        self._res_pairs: list = []             # non-derived order of res facts
-        self._agent_pairs: list = []
-        self._queue: deque = deque()
         self._max_base_card = 0
-        self._push(("r", EPSILON, EPSILON), "eps", ())
-        self._saturate()
+        self._dom: dict[Label, tuple] = {}      # x -> (rule, premises) of x ~ x
+        self._root: dict = {u: {} for u in (None, *self.agents)}  # x -> root
+        self._members: dict = {u: {} for u in self._root}     # root -> labels
+        self._ext: dict = {u: {} for u in self._root}         # root -> {k: y.k}
+        self._adj: dict = {u: {} for u in self._root}   # x -> ((y, edge), ...)
+        self._queue: deque = deque()            # due c_r/c_a: (kind, x, k, w)
+        self._enter(EPSILON, None)
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def close(constraints: Iterable, agents: Iterable[str], erl_star: bool = False,
-              max_card: int | None = None, max_facts: int = 200_000) -> "Closure":
-        cl = Closure(agents, erl_star, max_card, max_facts)
+              max_card: int | None = None) -> "Closure":
+        cl = Closure(agents, erl_star, max_card)
         cl.add(*constraints)
         return cl
 
     def add(self, *constraints) -> None:
-        """Add base constraints and resume saturation from the new facts."""
+        """Add base constraints and resume saturation."""
         old = self.effective_card
         for c in constraints:
             self.base.append(c)
             fact = fact_of(c)
-            for side in fact_labels(fact):
-                self._max_base_card = max(self._max_base_card, len(side))
-            self._push(fact, "base", ())
+            u = None if fact[0] == "r" else fact[1]
+            x, y = fact_labels(fact)
+            self._max_base_card = max(self._max_base_card, len(x), len(y))
+            self._enter(x, fact)
+            self._enter(y, _fact(u, y, x))
+            self._union(u, x, y, fact, "base", ())
         if self.effective_card > old:
-            # A larger base label raised the budget: replay stored facts so
-            # conclusions suppressed under the old budget can fire.
-            for fact in list(self._facts):
-                self._queue.append(fact)
+            # A larger base label raised the budget: instances suppressed
+            # under the old budget may fit now.
+            self._queue.extend((u, x, k, w) for u, exts in self._ext.items()
+                               for r, ext in exts.items() for k, w in ext.items()
+                               for x in self._members[u][r])
         self._saturate()
 
     @property
@@ -229,100 +241,108 @@ class Closure:
 
     def clone(self) -> "Closure":
         other = Closure.__new__(Closure)
-        other.agents = self.agents
-        other.erl_star = self.erl_star
-        other._max_card_param = self._max_card_param
-        other.max_facts = self.max_facts
+        other.__dict__.update(self.__dict__)
         other.base = list(self.base)
-        other.budget_hit = self.budget_hit
-        other._facts = dict(self._facts)
-        other._res_left = {k: set(v) for k, v in self._res_left.items()}
-        other._agent_left = {k: set(v) for k, v in self._agent_left.items()}
-        other._refl = set(self._refl)
-        other._res_pairs = list(self._res_pairs)
-        other._agent_pairs = list(self._agent_pairs)
-        other._queue = deque(self._queue)
-        other._max_base_card = self._max_base_card
+        other._dom = dict(self._dom)
+        other._root = {u: dict(d) for u, d in self._root.items()}
+        other._members = {u: dict(d) for u, d in self._members.items()}
+        other._ext = {u: {r: dict(e) for r, e in d.items()}
+                      for u, d in self._ext.items()}
+        other._adj = {u: dict(d) for u, d in self._adj.items()}
+        other._queue = deque()
         return other
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self):
-        return len(self._facts)
+        return sum(len(m) ** 2 for members in self._members.values()
+                   for m in members.values())
+
+    def __contains__(self, fact: tuple) -> bool:
+        return self.has_res(*fact[1:]) if fact[0] == "r" else self.has_agent(*fact[1:])
+
+    def _class(self, u: str | None, x: Label) -> tuple:
+        root = self._root.get(u, {})
+        return self._members[u][root[x]] if x in root else ()
+
+    def _same(self, u: str | None, x: Label, y: Label) -> bool:
+        root = self._root[u]
+        return x in root and root[x] == root.get(y)
 
     def has_res(self, x: Label, y: Label) -> bool:
-        return ("r", x, y) in self._facts
+        return self._same(None, x, y)
 
     def has_agent(self, u: str, x: Label, y: Label) -> bool:
-        return ("a", u, x, y) in self._facts
+        return u in self.agents and self._same(u, x, y)
 
     def partners_res(self, x: Label) -> list:
-        return sorted(self._res_left.get(x, ()), key=label_key)
+        return sorted(self._class(None, x), key=label_key)
 
     def partners_agent(self, u: str, x: Label, suffix: Label | None = None) -> list:
         """Without a suffix: all y with x ~[u] y.  With suffix w: all y such
-        that x ~[u] y.w is stored (the y of the modal rule conditions)."""
-        partners = self._agent_left.get((u, x), ())
-        if suffix is None:
-            return sorted(partners, key=label_key)
-        out = []
-        for p in partners:
-            y = lsub(p, suffix)
-            if y is not None:
-                out.append(y)
-        return sorted(set(out), key=label_key)
+        that x ~[u] y.w holds (the y of the modal rule conditions)."""
+        partners = self._class(u, x)
+        if suffix is not None:
+            partners = {lsub(p, suffix) for p in partners} - {None}
+        return sorted(partners, key=label_key)
 
     def classes(self) -> tuple[dict, list]:
         """Partition of the domain under the resource relation: (label ->
         class position, classes as label_key-sorted member lists)."""
-        class_of: dict = {}
-        classes: list = []
-        for x in self.domain():
-            if x in class_of:
-                continue
-            members = sorted(set(self.partners_res(x)) | {x}, key=label_key)
-            pos = len(classes)
-            classes.append(members)
-            for y in members:
-                class_of[y] = pos
-        return class_of, classes
+        classes = sorted((sorted(m, key=label_key)
+                          for m in self._members[None].values()),
+                         key=lambda m: label_key(m[0]))
+        return {x: pos for pos, m in enumerate(classes) for x in m}, classes
 
     def splits(self, x: Label) -> list:
         """All ordered pairs (y, z) with x ~ y.z in the closure."""
-        out = set()
-        for w in self._res_left.get(x, ()):
-            out.update(splits_of(w))
+        out = {s for w in self._class(None, x) for s in splits_of(w)}
         return sorted(out, key=lambda p: (label_key(p[0]), label_key(p[1])))
 
     def domain(self) -> list:
-        """All resource sublabels of stored facts (equivalently: the labels
-        with a reflexive fact, once saturation has run)."""
-        return sorted(self._refl, key=label_key)
+        """All sublabels of the labels in facts: the labels x with x ~ x."""
+        return sorted(self._dom, key=label_key)
 
     def in_domain(self, x: Label) -> bool:
-        return x in self._refl
+        return x in self._dom
 
     def alphabet(self) -> list:
-        consts = set()
-        for fact in self._facts:
-            for side in fact_labels(fact):
-                consts.update(side)
-        return sorted(consts, key=const_key)
+        return sorted({c for x in self._dom for c in x}, key=const_key)
 
     def facts(self) -> list:
-        return sorted(self._facts)
+        return sorted(_fact(u, x, y) for u, members in self._members.items()
+                      for m in members.values() for x in m for y in m)
 
     def res_facts(self) -> list:
-        return sorted(self._res_pairs)
+        return [f[1:] for f in self.facts() if f[0] == "r"]
 
     def agent_facts(self) -> list:
-        return sorted(self._agent_pairs)
+        return [f[1:] for f in self.facts() if f[0] == "a"]
 
     # -- derivations -------------------------------------------------------
 
     def derivation(self, fact: tuple) -> tuple:
-        """(rule, premises) for a stored fact."""
-        return self._facts[fact]
+        """(rule, premises) of the last step deriving a fact of the closure:
+        from the domain, by r_a, or along the fact's forest path, whose edges
+        are no newer than the fact.  t_r/t_a split off the last edge, s_r/s_a
+        flip an edge, and k_a turns a resource edge into an agent fact."""
+        if fact not in self:
+            raise KeyError(fact)
+        if any(fact_of(c) == fact for c in self.base):
+            return ("base", ())
+        u, x, y = (None, *fact[1:]) if fact[0] == "r" else fact[1:]
+        if x == y:
+            return self._dom[x] if u is None else ("r_a", (("r", x, x),))
+        path = _forest_path(self._adj[u], x, y)
+        if len(path) > 1:
+            v = path[-1][0]
+            return ("t_r" if u is None else "t_a", (_fact(u, x, v), _fact(u, v, y)))
+        edge, rule, premises = path[0][2]
+        if edge[0] == "r" and u is not None:
+            return ("k_a", (("a", u, y, y), ("r", y, x)))
+        if fact_labels(edge) == (x, y):
+            return (rule, premises)
+        return ("s_r" if u is None else "s_a", (edge,))
 
     def derivation_chain(self, fact: tuple) -> list[dict]:
         """Topologically ordered derivation trace ending at ``fact``.
@@ -336,7 +356,7 @@ class Closure:
         def visit(f):
             if f in index:
                 return index[f]
-            rule, premises = self._facts[f]
+            rule, premises = self.derivation(f)
             idx_premises = [visit(p) for p in premises]
             index[f] = len(order)
             order.append((f, rule, idx_premises))
@@ -347,102 +367,87 @@ class Closure:
                 for (f, rule, prem) in order]
 
     def replay(self) -> list[tuple]:
-        """Re-derive every stored fact from its recorded rule and premises;
-        returns the list of facts whose derivations do not replay."""
-        bad = []
-        for fact, (rule, premises) in self._facts.items():
-            if not _replay_step(self, rule, premises, fact):
-                bad.append(fact)
-        return bad
+        """Re-derive every fact from its derivation step; returns the list
+        of facts whose steps do not replay."""
+        return [f for f in self.facts()
+                if not _replay_step(self, *self.derivation(f), f)]
 
     # -- saturation --------------------------------------------------------
 
-    def _push(self, fact: tuple, rule: str, premises: tuple) -> None:
-        if fact in self._facts:
+    def _enter(self, x: Label, fact: tuple | None) -> None:
+        """Add x, brought in by ``fact`` (x on its left; None for eps), and
+        by d_r its sublabels; c_r and c_a fall due on each new label."""
+        if x in self._dom:
             return
-        if rule not in ("base", "eps"):
-            cap = self.effective_card
-            if any(len(side) > cap for side in fact_labels(fact)):
-                self.budget_hit = True
-                return
-            if len(self._facts) >= self.max_facts:
-                self.budget_hit = True
-                return
-        self._facts[fact] = (rule, premises)
-        if fact[0] == "r":
-            _, x, y = fact
-            self._res_left.setdefault(x, set()).add(y)
-            self._res_pairs.append((x, y))
-            if x == y:
-                self._refl.add(x)
-        else:
-            _, u, x, y = fact
-            self._agent_left.setdefault((u, x), set()).add(y)
-            self._agent_pairs.append((u, x, y))
-        self._queue.append(fact)
+        self._dom[x] = (("eps", ()) if fact is None else ("k_r", (fact,))
+                        if fact[0] == "a" else ("t_r", (fact, ("r", fact[2], x))))
+        new = [x] + [s for s in sublabels(x) if s not in self._dom]
+        for s in new:
+            self._dom.setdefault(s, ("d_r", (("r", x, x),)))
+            for u in self._root:
+                self._root[u][s] = s
+                self._members[u][s] = (s,)
+                self._ext[u][s] = {}
+        kinds = tuple(self._root) if self.erl_star else (None,)
+        for w in new:
+            for y, k in splits_of(w):
+                for u in kinds if k else ():
+                    r = self._root[u][y]
+                    w1 = self._ext[u][r].setdefault(k, w)
+                    xs = self._members[u][r] if w1 == w else (y,)
+                    self._queue.extend((u, x, k, w1) for x in xs)
+
+    def _union(self, u: str | None, a: Label, b: Label, fact: tuple, rule: str,
+               premises: tuple) -> None:
+        """Join a and b on a proof-forest edge in kind u (None: resources,
+        which every agent kind contains)."""
+        edge = (fact, rule, premises)
+        for v in (u,) if u is not None else self._root:
+            members, adj, root = self._members[v], self._adj[v], self._root[v]
+            ra, rb = sorted((root[a], root[b]), key=lambda r: -len(members[r]))
+            if ra == rb:
+                continue
+            ma, mb = members[ra], members.pop(rb)
+            root.update(dict.fromkeys(mb, ra))
+            members[ra] = ma + mb
+            adj[a] = adj.get(a, ()) + ((b, edge),)
+            adj[b] = adj.get(b, ()) + ((a, edge),)
+            # each class's k-extension is due for the other class's members
+            ea, eb = self._ext[v][ra], self._ext[v].pop(rb)
+            due = [(x, k, w) for k, w in ea.items() if k not in eb for x in mb]
+            for k, w in eb.items():
+                w1 = ea.setdefault(k, w)
+                due += [(x, k, w1) for x in (ma if w1 == w else (lsub(w, k),))]
+            self._queue.extend((v,) + d for d in due)
 
     def _saturate(self) -> None:
+        """Fire due instances: x ~ y (or ~[u]) and w = y.k give x.k ~ w."""
         while self._queue:
-            fact = self._queue.popleft()
-            if fact[0] == "r":
-                self._fire_res(fact)
-            else:
-                self._fire_agent(fact)
+            u, x, k, w = self._queue.popleft()
+            xk = lmul(x, k)
+            if len(xk) > self.effective_card:
+                self.budget_hit = True
+            elif not self._same(u, xk, w):
+                self._enter(xk, _fact(u, xk, w))
+                self._union(u, xk, w, _fact(u, xk, w), "c_r" if u is None else "c_a",
+                            (_fact(u, x, lsub(w, k)), ("r", w, w)))
 
-    def _fire_res(self, fact: tuple) -> None:
-        _, x, y = fact
-        self._push(("r", y, x), "s_r", (fact,))
-        # t_r with the new fact as either premise (store is symmetric)
-        for z in list(self._res_left.get(y, ())):
-            self._push(("r", x, z), "t_r", (fact, ("r", y, z)))
-        for w in list(self._res_left.get(x, ())):
-            # the flipped premise may not be stored yet; the instance then
-            # fires when its s_r image is processed
-            if ("r", w, x) in self._facts:
-                self._push(("r", w, y), "t_r", (("r", w, x), fact))
-        # c_r with the new fact as the x ~ y premise
-        for w in list(self._refl):
-            k = lsub(w, y)
-            if k is not None:
-                self._push(("r", lmul(x, k), w), "c_r", (fact, ("r", w, w)))
-        # k_a with the new fact as the x ~ k premise
-        for u in self.agents:
-            for yy in list(self._agent_left.get((u, x), ())):
-                self._push(("a", u, y, yy), "k_a", (("a", u, x, yy), fact))
-        if x == y:
-            for sub in sublabels(x):
-                if sub != x:
-                    self._push(("r", sub, sub), "d_r", (fact,))
-            for v in self.agents:
-                self._push(("a", v, x, x), "r_a", (fact,))
-            # new reflexive fact can serve as the yk ~ yk premise
-            for (a, b) in list(self._res_pairs):
-                k = lsub(x, b)
-                if k is not None:
-                    self._push(("r", lmul(a, k), x), "c_r", (("r", a, b), fact))
-            if self.erl_star:
-                for (u, p, q) in list(self._agent_pairs):
-                    k = lsub(x, q)
-                    if k is not None:
-                        self._push(("a", u, lmul(p, k), x), "c_a",
-                                   (("a", u, p, q), fact))
 
-    def _fire_agent(self, fact: tuple) -> None:
-        _, u, x, y = fact
-        self._push(("a", u, y, x), "s_a", (fact,))
-        self._push(("r", x, x), "k_r", (fact,))
-        for z in list(self._agent_left.get((u, y), ())):
-            self._push(("a", u, x, z), "t_a", (fact, ("a", u, y, z)))
-        for w in list(self._agent_left.get((u, x), ())):
-            if ("a", u, w, x) in self._facts:
-                self._push(("a", u, w, y), "t_a", (("a", u, w, x), fact))
-        for k in list(self._res_left.get(x, ())):
-            self._push(("a", u, k, y), "k_a", (fact, ("r", x, k)))
-        if self.erl_star:
-            for w in list(self._refl):
-                k = lsub(w, y)
-                if k is not None:
-                    self._push(("a", u, lmul(x, k), w), "c_a", (fact, ("r", w, w)))
+def _forest_path(adj: dict, x: Label, y: Label) -> list:
+    """The steps (label, next label, edge) of the path from x to y in a
+    forest given as label -> ((neighbour, edge), ...)."""
+    prev = {x: None}
+    todo = [x]
+    for v in todo:
+        for n, edge in adj.get(v, ()):
+            if n not in prev:
+                prev[n] = (v, n, edge)
+                todo.append(n)
+    path = []
+    while prev[y] is not None:
+        path.append(prev[y])
+        y = prev[y][0]
+    return path[::-1]
 
 
 def modal_partners(closure: Closure, phi: Modal, x: Label) -> list:
@@ -465,7 +470,7 @@ def modal_partners(closure: Closure, phi: Modal, x: Label) -> list:
 def _replay_step(cl: Closure, rule: str, premises: tuple, fact: tuple) -> bool:
     """Check that ``fact`` is exactly what ``rule`` concludes from ``premises``."""
     for p in premises:
-        if p not in cl._facts:
+        if p not in cl:
             return False
     if rule == "base":
         return any(fact_of(c) == fact for c in cl.base)

@@ -14,14 +14,13 @@ pruning.  It is the ground truth the prover is checked against.
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import permutations, product
 from typing import Iterable, Iterator
 
 from .config import is_star
 from .errors import BudgetTooLarge, ModelError
-from .syntax import Signature, Term, Violation
+from .syntax import Signature, Term, Violation, read_json
 
 _UNKNOWN = object()  # unassigned cell sentinel during enumeration
 
@@ -335,13 +334,10 @@ def model_to_json(m: Model, world: str | None = None,
 def load_model(source, sig: Signature | None = None) -> tuple[Model, str | None]:
     """Load a model (and optional designated world) from JSON.  The file may
     embed its signature; otherwise one must be supplied."""
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = read_json(source, ModelError, ("carrier", "composition"))
+    equiv = data.get("equiv", {})
+    if not isinstance(equiv, dict) or not all(isinstance(p, list) for p in equiv.values()):
+        raise ModelError("equiv must map each agent to a list of pairs")
     if sig is None:
         if "signature" not in data:
             raise ModelError("model file has no embedded signature; pass one explicitly")
@@ -349,9 +345,9 @@ def load_model(source, sig: Signature | None = None) -> tuple[Model, str | None]
         sig = load_signature(data["signature"])
     m = make_model(
         sig,
-        data["carrier"],
+        data.get("carrier", []),
         [tuple(row) for row in data.get("composition", [])],
-        {a: [tuple(p) for p in pairs] for a, pairs in data.get("equiv", {}).items()},
+        {a: [tuple(p) for p in pairs] for a, pairs in equiv.items()},
         data.get("valuation", {}),
     )
     world = data.get("world")

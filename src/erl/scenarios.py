@@ -21,8 +21,9 @@ from dataclasses import dataclass, field, asdict
 from .checker import satisfies, valid_in_model
 from .config import ERL_STAR
 from .errors import ErlError
-from .models import Model, load_model, make_model, model_to_json, validate_model
-from .syntax import Signature, load_signature, parse_formula, signature_to_json
+from .models import load_model, validate_model
+from .syntax import (Signature, load_signature, parse_formula, read_json,
+                     signature_to_json)
 
 
 @dataclass
@@ -54,12 +55,8 @@ class Scenario:
     logic: str = ERL_STAR
 
     def models(self) -> dict:
-        return {name: make_model(
-            self.sig, data["carrier"],
-            [tuple(r) for r in data.get("composition", [])],
-            {a: [tuple(p) for p in ps] for a, ps in data.get("equiv", {}).items()},
-            data.get("valuation", {}),
-        ) for name, data in self.model_data.items()}
+        return {name: load_model(data, self.sig)[0]
+                for name, data in self.model_data.items()}
 
 
 @dataclass
@@ -163,13 +160,7 @@ def scenario_to_json(s: Scenario) -> dict:
 
 
 def load_scenario(source) -> Scenario:
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = read_json(source, ErlError)
     sig = load_signature(data["signature"])
     return Scenario(
         name=data["name"],

@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (ParseError, SignatureError, UnknownAgentError,
+from .errors import (ErlError, ParseError, SignatureError, UnknownAgentError,
                      UnknownResourceError)
 
 # Names of the form c<digits> are reserved for fresh label constants in the
@@ -168,15 +168,29 @@ def validate_signature(sig: Signature) -> list[Violation]:
     return out
 
 
+def read_json(source, error: type[ErlError], lists=()) -> dict:
+    """The JSON object in a dict, file object or file path.  Anything else,
+    or a non-list (a string, say) under one of the keys ``lists``, raises
+    ``error``."""
+    try:
+        if hasattr(source, "read"):
+            source = json.load(source)
+        elif not isinstance(source, dict):
+            with open(source, "r", encoding="utf-8") as fh:
+                source = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed JSON: {exc}") from None
+    if not isinstance(source, dict):
+        raise error(f"expected a JSON object, got {type(source).__name__}")
+    for key in lists:
+        if not isinstance(source.get(key, []), list):
+            raise error(f"{key!r} must be a list, got {type(source[key]).__name__}")
+    return source
+
+
 def load_signature(source) -> Signature:
     """Load a signature from a JSON file path, file object, or dict."""
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = read_json(source, SignatureError, ("agents", "resources", "composition"))
     try:
         sig = Signature.make(
             data.get("agents", []),

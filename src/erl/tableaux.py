@@ -213,7 +213,7 @@ def condition_fact(rule: str, sf: SignedFormula, inst: tuple):
 
 
 class Branch:
-    """One CSS: signed formulas, constraints, cached closure, scheduler state."""
+    """One CSS: signed formulas, the closure of its constraints, scheduler state."""
 
     def __init__(self, bid: int, closure: Closure):
         self.id = bid
@@ -221,7 +221,6 @@ class Branch:
         self.formulas: set[SignedFormula] = set()
         self.t_labels: dict[Formula, set] = {}
         self.f_labels: dict[Formula, set] = {}
-        self.constraints: list = list(closure.base)
         self.closure = closure
         self.queues = tuple(deque() for _ in range(_N_CLASSES))
         self.queued: set = set()
@@ -259,7 +258,6 @@ class Branch:
         cs = list(constraints)
         if not cs:
             return
-        self.constraints.extend(cs)
         self.closure.add(*cs)
         self.revision += 1
         if len(self.closure) != before:
@@ -344,7 +342,6 @@ class Branch:
         other.formulas = set(self.formulas)
         other.t_labels = {k: set(v) for k, v in self.t_labels.items()}
         other.f_labels = {k: set(v) for k, v in self.f_labels.items()}
-        other.constraints = list(self.constraints)
         other.closure = self.closure.clone()
         other.queues = tuple(deque(q) for q in self.queues)
         other.queued = set(self.queued)
@@ -358,7 +355,7 @@ class Branch:
     def snapshot(self, unit: str = "e") -> dict:
         return {
             "formulas": sorted(sf.text(unit) for sf in self.formulas),
-            "constraints": [str(c) for c in self.constraints],
+            "constraints": [str(c) for c in self.closure.base],
             "closed": None if self.closed is None else describe_closure_witness(self.closed, unit),
         }
 
@@ -409,13 +406,11 @@ class ProofOutcome:
 
 class Tableau:
     def __init__(self, phi: Formula, sig: Signature, logic: str = "erl",
-                 closure_max_card: int | None = 6, closure_max_facts: int = 200_000,
+                 closure_max_card: int | None = 6,
                  constant_limit: int | None = None, seed: int = 0):
         self.sig = sig
         self.logic = logic
         self.phi = phi
-        self.closure_max_card = closure_max_card
-        self.closure_max_facts = closure_max_facts
         self.constant_limit = constant_limit  # fresh constants beyond c1
         self.used_constants = 1               # c1 is consumed by the root
         self.next_branch_id = 0
@@ -424,7 +419,7 @@ class Tableau:
         self.applications = 0
         self.rng = random.Random(seed) if seed else None
         closure = Closure(sorted(sig.agents), erl_star=is_star(logic),
-                          max_card=closure_max_card, max_facts=closure_max_facts)
+                          max_card=closure_max_card)
         root = Branch(self._new_id(), closure)
         c1 = label(fresh_constant_name(1))
         root.add_constraints([ResEq(c1, c1)], self.rng)
@@ -549,7 +544,6 @@ def _attempt(phi: Formula, sig: Signature, config: RunConfig, depth: int,
              abort_on_starve: bool = False) -> ProofOutcome:
     t = Tableau(phi, sig, config.logic,
                 closure_max_card=config.budget.closure_max_card,
-                closure_max_facts=config.budget.closure_max_facts,
                 constant_limit=depth, seed=config.seed)
     max_steps = config.budget.max_steps
     refutation = None

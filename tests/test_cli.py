@@ -61,6 +61,21 @@ def test_check_usage_errors(sig_file, tmp_path, capsys):
     assert code == 65
 
 
+def test_string_for_name_list_exit(tmp_path, capsys):
+    # a string where a list of names belongs is a data error, not a list
+    # of its characters
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"agents": "ab", "resources": "es"}))
+    code, _ = run(capsys, "prove", "--sig", str(sig), "p -> p",
+                  "--countermodel-out", str(tmp_path / "cm.json"))
+    assert code == 65
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"signature": {"resources": ["e", "s"]},
+                                 "carrier": "es"}))
+    code, _ = run(capsys, "check", "--model", str(model), "top", "--at", "e")
+    assert code == 65
+
+
 def test_search_verdicts(sig_file, tmp_path, capsys):
     out_file = str(tmp_path / "cm.json")
     code, _ = run(capsys, "search", "--sig", sig_file, "p -> p",

@@ -3,8 +3,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from erl.labels import (AgentEq, Closure, EPSILON, ResEq, corollary_check,
-                        derived_rule_check, label, label_of, label_str,
-                        lcontains, lmul, lsub, splits_of, sublabels)
+                        derived_rule_check, fact_str, label, label_of,
+                        label_str, lcontains, lmul, lsub, splits_of, sublabels)
 
 from oracles import naive_closure
 
@@ -124,6 +124,20 @@ def test_incremental_matches_batch():
     assert set(batch.facts()) == set(inc.facts())
 
 
+def test_budget_raise_matches_batch():
+    # the second constraint raises the default budget from 4 to 5, so
+    # instances suppressed under the first add fire in the second
+    first, second = ResEq(C1, lmul(C1, LS)), ResEq(C2, lmul(C2, C3, C4))
+    inc = close([first])
+    assert inc.effective_card == 4 and inc.budget_hit
+    inc.add(second)
+    batch = close([first, second])
+    assert inc.effective_card == batch.effective_card == 5
+    assert set(inc.facts()) == set(batch.facts())
+    assert inc.has_res(lmul(C1, LS, LS, LS, LS), C1)
+    assert inc.budget_hit and batch.budget_hit
+
+
 def test_derivations_replay_and_serialize():
     cl = close([ResEq(C1, lmul(C2, C3)), AgentEq("u", C2, C4)])
     assert cl.replay() == []
@@ -178,3 +192,42 @@ def test_derived_rules_hold(seed, star):
     assert derived_rule_check(cl) == []
     assert corollary_check(cl) == []
     assert cl.replay() == []
+
+
+def _closure_state(cl):
+    facts = cl.facts()
+    return (facts, cl.domain(), cl.classes(), cl.budget_hit,
+            [cl.derivation_chain(f) for f in facts])
+
+
+def test_clone_independence():
+    src = close([ResEq(C1, lmul(C2, C3)), AgentEq("u", C2, C4)],
+                erl_star=True, max_card=3)
+    before = _closure_state(src)
+    copy = src.clone()
+    # grows a class, merges agent classes and hits the budget in the copy
+    copy.add(ResEq(C1, lmul(C1, LS)), AgentEq("u", C1, C3))
+    assert copy.budget_hit
+    assert _closure_state(src) == before
+    after = _closure_state(copy)
+    # merges classes in the source, and links the agent classes the copy
+    # linked through other labels
+    src.add(ResEq(C2, C4), AgentEq("u", lmul(C2, C3), C3))
+    assert _closure_state(copy) == after
+    assert _closure_state(src) != before
+    assert src.replay() == copy.replay() == []
+
+
+def test_seed27_set_saturates_at_prover_budget():
+    # one 210-label class at the prover's max_card=6
+    cs, agents = _random_constraints(random.Random(27))
+    cl = Closure.close(cs, agents, max_card=6)
+    assert len(cl) == len(cl.facts()) == 88_200
+    assert len(cl.domain()) == 210
+    assert len(cl.classes()[1]) == 1
+    assert cl.budget_hit
+    far = ("a", agents[0], EPSILON, max(cl.domain(), key=len))
+    chain = cl.derivation_chain(far)
+    assert chain[-1]["conclusion"] == fact_str(far)
+    for i, step in enumerate(chain):
+        assert all(p < i for p in step["premises"])

@@ -125,13 +125,13 @@ def test_monotone_growth(sig_a):
             break
         i = open_idx[0]
         before_f = set(t.branches[i].formulas)
-        before_c = list(t.branches[i].constraints)
+        before_c = list(t.branches[i].closure.base)
         ri = t.branches[i].pop()
         ids = t._apply(i, ri)
         for bid in ids:
             child = next(b for b in t.branches if b.id == bid)
             assert before_f <= child.formulas
-            assert before_c == child.constraints[:len(before_c)]
+            assert before_c == child.closure.base[:len(before_c)]
 
 
 def test_fresh_constant_progression(sig_a):
