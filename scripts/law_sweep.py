@@ -10,8 +10,8 @@ such runs as sampled.
 import argparse
 import time
 
-from erl import Signature, enumerate_models, parse_formula, sample_models
-from erl.checker import _ts
+from erl import (Signature, enumerate_models, parse_formula, sample_models,
+                 truth_set)
 
 SIG = Signature.make(["a"], ["e", "s", "t"])
 
@@ -59,7 +59,7 @@ def main():
         total += 1
         cache = {}
         for name, phi in parsed:
-            if _ts(m, phi, cache) != m.full_mask:
+            if truth_set(m, phi, cache) != m.full_mask:
                 counts[name] += 1
     elapsed = time.time() - t0
     print(f"{mode}: {total} {args.logic} models with up to {args.extra} "

@@ -183,6 +183,9 @@ def main(argv=None) -> int:
     except ErlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EX_DATA
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE

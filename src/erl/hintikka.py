@@ -10,8 +10,10 @@ lambda images: a class containing the image of a resource is named by that
 resource, ties broken by name order with a warning (the calculus never
 promises at most one image per class).
 
-All quantifiers below range over the closure domain; the branch must be
-saturated for the conditions to be meaningful.
+Conditions 1-4 say that the branch is open; condition i + 5 says that the
+rule ``tableaux.RULES[i]`` is saturated on it.  Rule instances range over
+the closure domain, so the branch must be saturated for the conditions to
+be meaningful.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from dataclasses import dataclass, field
 from .checker import satisfies
 from .closing import branch_witness, describe_closure_witness
 from .errors import NotHintikka
-from .labels import (Closure, EPSILON, label_key, label_str, lmul, lsub,
-                     modal_partners)
+from .labels import Closure, EPSILON, fact_of, label_key, label_str, lmul
 from .models import Model, make_model, validate_model
-from .syntax import (And, Atom, Implies, Modal, Not, Or, Signature, Star,
-                     Unit, Wand, C, D, E, CDUAL, DDUAL, EDUAL, format_formula)
+from .syntax import Atom, Signature, format_formula
+from .tableaux import FRESH_NEED, RULES, expand, instances, rule_for
 
 
 def _membership(formulas):
@@ -40,11 +41,8 @@ def _membership(formulas):
 def is_hintikka(formulas, closure: Closure, sig: Signature):
     """None when every condition holds; otherwise (condition index, witness)
     for the first violated condition in numeric order."""
+    formulas = set(formulas)
     t_map, f_map = _membership(formulas)
-    dom = closure.domain()
-
-    def has(side, phi, x):
-        return x in (t_map if side == "T" else f_map).get(phi, ())
 
     # 1-4: openness
     witness = branch_witness(t_map, f_map, closure,
@@ -53,109 +51,42 @@ def is_hintikka(formulas, closure: Closure, sig: Signature):
         data = describe_closure_witness(witness, sig.unit)
         return (data.pop("condition"), data)
 
-    # 5-29: saturation.  Collect everything and report the lowest-numbered
-    # violated condition (deterministically, sets have no stable order).
+    # 5-29: saturation, condition 5 + i for rule RULES[i].  Collect everything
+    # and report the lowest-numbered violated condition (deterministically,
+    # sets have no stable order).
     found = []
-    for (sign, mapping) in (("T", t_map), ("F", f_map)):
-        for phi, xs in mapping.items():
-            for x in xs:
-                cond = _saturation_condition(sign, phi, x, closure, has, dom, sig)
-                if cond is not None:
-                    idx, extra = cond
-                    data = {"formula": format_formula(phi, sig.unit),
-                            "label": label_str(x)}
-                    data.update(extra)
-                    found.append((idx, label_key(x), data))
+    for sf in formulas:
+        rule = rule_for(sf)
+        if rule is None:
+            continue
+        unmet = _unmet_instances(rule, sf, formulas, closure)
+        if unmet is not None:
+            data = {"formula": format_formula(sf.formula, sig.unit),
+                    "label": label_str(sf.label), "rule": rule,
+                    "instances": [[label_str(y) for y in inst] for inst in unmet]}
+            found.append((RULES.index(rule) + 5, label_key(sf.label), data))
     if found:
         idx, _, data = min(found, key=lambda f: (f[0], f[1], sorted(f[2].items())))
         return (idx, data)
     return None
 
 
-# (modality, sign is T) -> (condition index, sign the partners need,
-# whether every partner needs it)
-_MODAL_CONDITIONS = {
-    (C, True): (18, "T", True),
-    (C, False): (19, "F", False),
-    (D, True): (20, "T", False),
-    (D, False): (21, "F", True),
-    (E, True): (22, "T", True),
-    (E, False): (23, "F", False),
-    (CDUAL, True): (24, "T", False),
-    (CDUAL, False): (25, "F", True),
-    (DDUAL, True): (26, "T", True),
-    (DDUAL, False): (27, "F", False),
-    (EDUAL, True): (28, "T", False),
-    (EDUAL, False): (29, "F", True),
-}
+def _unmet_instances(rule, sf, formulas, closure):
+    """None when the rule of ``sf`` is saturated, else the instances that
+    fail it.  An instance is met when some child of the rule applied with it
+    is on the branch: its formulas in ``formulas``, its constraints in the
+    closure.  A rule that introduces fresh constants needs one met instance;
+    any other rule needs every instance met."""
+    def met(inst):
+        return any(all(c in formulas for c in sfs)
+                   and all(fact_of(c) in closure for c in constraints)
+                   for (sfs, constraints) in expand(rule, sf, inst))
 
-
-def _saturation_condition(sign, phi, x, closure, has, dom, sig):
-    """Check the saturation condition for one signed labelled formula;
-    None when satisfied, else (condition index, witness details)."""
-    t = sign == "T"
-    if isinstance(phi, Unit):
-        if t and not closure.has_res(x, EPSILON):
-            return (5, {})
-        return None
-    if isinstance(phi, Not):
-        if t and not has("F", phi.body, x):
-            return (6, {})
-        if not t and not has("T", phi.body, x):
-            return (7, {})
-        return None
-    if isinstance(phi, And):
-        if t and not (has("T", phi.left, x) and has("T", phi.right, x)):
-            return (8, {})
-        if not t and not (has("F", phi.left, x) or has("F", phi.right, x)):
-            return (9, {})
-        return None
-    if isinstance(phi, Or):
-        if t and not (has("T", phi.left, x) or has("T", phi.right, x)):
-            return (10, {})
-        if not t and not (has("F", phi.left, x) and has("F", phi.right, x)):
-            return (11, {})
-        return None
-    if isinstance(phi, Implies):
-        if t and not (has("F", phi.left, x) or has("T", phi.right, x)):
-            return (12, {})
-        if not t and not (has("T", phi.left, x) and has("F", phi.right, x)):
-            return (13, {})
-        return None
-    if isinstance(phi, Star):
-        splits = closure.splits(x)
-        if t:
-            if not any(has("T", phi.left, y) and has("T", phi.right, z)
-                       for (y, z) in splits):
-                return (14, {})
-        else:
-            for (y, z) in splits:
-                if not (has("F", phi.left, y) or has("F", phi.right, z)):
-                    return (15, {"split": [label_str(y), label_str(z)]})
-        return None
-    if isinstance(phi, Wand):
-        options = [(lsub(w, x), w) for w in dom if lsub(w, x) is not None]
-        if t:
-            for (y, xy) in options:
-                if not (has("F", phi.left, y) or has("T", phi.right, xy)):
-                    return (16, {"extension": label_str(y)})
-        else:
-            if not any(has("T", phi.left, y) and has("F", phi.right, xy)
-                       for (y, xy) in options):
-                return (17, {})
-        return None
-    if isinstance(phi, Modal):
-        idx, want_sign, universal = _MODAL_CONDITIONS[(phi.op, t)]
-        options = modal_partners(closure, phi, x)
-        if universal:
-            for y in options:
-                if not has(want_sign, phi.body, y):
-                    return (idx, {"partner": label_str(y)})
-        else:
-            if not any(has(want_sign, phi.body, y) for y in options):
-                return (idx, {"partners": [label_str(y) for y in options]})
-        return None
-    return None
+    insts = instances(sf, closure)
+    if rule in FRESH_NEED:
+        return None if any(map(met, insts)) else insts
+    unmet = [inst for inst in insts if not met(inst)]
+    return unmet or None
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -49,6 +50,7 @@ def fresh_constant_name(index: int) -> str:
     return f"c{index}"
 
 
+@cache
 def const_key(c: str):
     m = _FRESH.match(c)
     if m:
@@ -450,6 +452,12 @@ def _forest_path(adj: dict, x: Label, y: Label) -> list:
     return path[::-1]
 
 
+def modal_source(phi: Modal, x: Label) -> Label:
+    """The label ``phi``'s modality relates to its partners from ``x``: x
+    itself for D and its dual, x.l with l = lam(term) otherwise."""
+    return x if BASE_OF.get(phi.op, phi.op) == D else lmul(x, lam(phi.term))
+
+
 def modal_partners(closure: Closure, phi: Modal, x: Label) -> list:
     """The labels that ``phi``'s modality reaches from ``x`` in the closure,
     where u is the agent and l = lam(term) the local resource of ``phi``:
@@ -458,11 +466,10 @@ def modal_partners(closure: Closure, phi: Modal, x: Label) -> list:
         D and its dual:  y.l    with x   ~[u] y.l
         E and its dual:  y.l    with x.l ~[u] y.l
     """
-    family = BASE_OF.get(phi.op, phi.op)
-    lam_t = lam(phi.term)
-    source = x if family == D else lmul(x, lam_t)
-    if family == C:
+    source = modal_source(phi, x)
+    if BASE_OF.get(phi.op, phi.op) == C:
         return closure.partners_agent(phi.agent, source)
+    lam_t = lam(phi.term)
     return [lmul(y, lam_t)
             for y in closure.partners_agent(phi.agent, source, suffix=lam_t)]
 

@@ -159,16 +159,42 @@ def scenario_to_json(s: Scenario) -> dict:
     }
 
 
+# the arguments each replay step kind reads
+_REPLAY_ARGS = {"compose": ("left", "right"), "equiv": ("agent", "left", "right"),
+                "holds": ("formula", "world")}
+_EXPECT = ("valid", "invalid", "satisfied", "falsified")
+
+
 def load_scenario(source) -> Scenario:
-    data = read_json(source, ErlError)
+    data = read_json(source, ErlError, ("queries", "replay"))
+    for key in ("signature", "name", "models"):
+        if key not in data:
+            raise ErlError(f"scenario file missing field {key!r}")
+    if not isinstance(data["models"], dict):
+        raise ErlError("'models' must map model names to models")
     sig = load_signature(data["signature"])
+    try:
+        queries = [Query(**q) for q in data.get("queries", [])]
+        replay = [ReplayStep(**r) for r in data.get("replay", [])]
+    except TypeError as exc:
+        raise ErlError(f"malformed query or replay step: {exc}") from None
+    for q in queries:
+        if q.expect not in _EXPECT:
+            raise ErlError(f"query {q.formula!r}: expect must be one of {_EXPECT}")
+    for step in queries + replay:
+        if step.model not in data["models"]:
+            raise ErlError(f"no model {step.model!r} in the scenario")
+    for step in replay:
+        needed = _REPLAY_ARGS.get(step.kind, ())
+        if not isinstance(step.args, dict) or any(k not in step.args for k in needed):
+            raise ErlError(f"replay step {step.kind!r} needs arguments {list(needed)}")
     return Scenario(
         name=data["name"],
         description=data.get("description", ""),
         sig=sig,
         model_data=data["models"],
-        queries=[Query(**q) for q in data.get("queries", [])],
-        replay=[ReplayStep(**r) for r in data.get("replay", [])],
+        queries=queries,
+        replay=replay,
         logic=data.get("logic", ERL_STAR),
     )
 

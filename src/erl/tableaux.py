@@ -2,7 +2,7 @@
 
 A branch (a constrained set of statements) holds signed labelled formulas
 together with a constraint set and its saturation.  The calculus has 25
-rules: 13 propositional/multiplicative and 12 modal ones.  Nine rules
+rules: 13 propositional/multiplicative and 12 modal ones.  Eight rules
 introduce fresh label constants; eight rules carry a side condition on the
 constraint closure and are (re-)instantiated whenever the closure grows.
 
@@ -30,8 +30,8 @@ from .config import RunConfig, is_star
 from .errors import StaleInstance
 from .labels import (AgentEq, Closure, EPSILON, ResEq, fact_str, label,
                      label_str, lam, lmul, lsub, fresh_constant_name,
-                     modal_partners)
-from .syntax import (And, Atom, Bot, Formula, Implies, Modal, Not, Or,
+                     modal_partners, modal_source)
+from .syntax import (BASE_OF, And, Atom, Bot, Formula, Implies, Modal, Not, Or,
                      Signature, Star, Top, Unit, Wand, C, D, E, CDUAL, DDUAL,
                      EDUAL)
 
@@ -53,6 +53,22 @@ _TAG = {Unit: "I", Not: "not", And: "and", Or: "or", Implies: "imp",
         Star: "star", Wand: "wand"}
 _MODAL_TAG = {C: "C", D: "D", E: "E", CDUAL: "Cd", DDUAL: "Dd", EDUAL: "Ed"}
 
+# A modal rule keeps the sign of the body.  It is universal, with one
+# instance per partner label the closure gives, when a box-like modality (C,
+# E or the dual of D) is signed T or its dual is signed F; otherwise it
+# introduces one fresh constant.  This is Fitting's nu/pi uniform notation.
+_MODAL_RULES = {f"{sign}_{tag}": (sign == T) == (op in (C, E, DDUAL))
+                for op, tag in _MODAL_TAG.items() for sign in (T, F)}
+
+# The 25 rules in the order of their Hintikka conditions: rule RULES[i] is
+# saturated on a branch exactly when condition i + 5 holds.
+RULES = ("T_I", "T_not", "F_not", "T_and", "F_and", "T_or", "F_or", "T_imp",
+         "F_imp", "T_star", "F_star", "T_wand", "F_wand") + tuple(_MODAL_RULES)
+CONDITION_RULES = frozenset(
+    ["F_star", "T_wand"] + [r for r, universal in _MODAL_RULES.items() if universal])
+FRESH_NEED = {"T_star": 2, "F_wand": 1,
+              **{r: 1 for r, universal in _MODAL_RULES.items() if not universal}}
+
 
 def rule_for(sf: SignedFormula) -> str | None:
     phi = sf.formula
@@ -65,56 +81,53 @@ def rule_for(sf: SignedFormula) -> str | None:
     return f"{sf.sign}_{_TAG[type(phi)]}"
 
 
-CONDITION_RULES = frozenset(
-    ["F_star", "T_wand", "T_C", "F_D", "T_E", "F_Cd", "T_Dd", "F_Ed"])
-FRESH_NEED = {"T_star": 2, "F_wand": 1, "F_C": 1, "T_D": 1, "F_E": 1,
-              "T_Cd": 1, "F_Dd": 1, "T_Ed": 1}
-
 # Scheduling classes.  Non-branching constant-free rules go first and the
 # additive branching rules next.  The multiplicative branching rules are
 # deferred until after the constant-introducing ones: their instances
 # quantify over the closure domain, which the delta rules populate, and
 # firing them on a skeletal domain duplicates all later work per split.
-_PRIORITY = {}
-for _r in ["T_I", "T_not", "F_not", "T_and", "F_or", "F_imp",
-           "T_C", "F_Cd", "T_Dd", "F_D", "T_E", "F_Ed"]:
-    _PRIORITY[_r] = 0
-for _r in ["F_and", "T_or", "T_imp"]:
-    _PRIORITY[_r] = 1
-for _r in FRESH_NEED:
-    _PRIORITY[_r] = 2
-for _r in ["F_star", "T_wand"]:
-    _PRIORITY[_r] = 3
+_PRIORITY = dict.fromkeys(RULES, 0)
+_PRIORITY.update(dict.fromkeys(["F_and", "T_or", "T_imp"], 1))
+_PRIORITY.update(dict.fromkeys(FRESH_NEED, 2))
+_PRIORITY.update(dict.fromkeys(["F_star", "T_wand"], 3))
 
 _BRANCHING_CLASSES = (1, 3)
 _N_CLASSES = 4
 
 
-def condition_instances(rule: str, sf: SignedFormula, closure: Closure) -> list[tuple]:
-    """Current instantiations of a condition-bearing rule, one tuple each."""
+def instances(sf: SignedFormula, closure: Closure) -> list[tuple]:
+    """The label tuples the rule of ``sf`` can be instantiated with: the
+    splits (y, z) of x for a star, the (y,) with x.y in the domain for a
+    wand, the modal partners (y,) for a modality, and the one empty
+    instance () otherwise.  A condition-bearing rule fires once per
+    instance; a fresh-constant rule is saturated when one instance already
+    has its children on the branch."""
     phi, x = sf.formula, sf.label
-    if rule == "F_star":
-        return [(y, z) for (y, z) in closure.splits(x)]
-    if rule == "T_wand":
-        out = []
-        for w in closure.domain():
-            y = lsub(w, x)
-            if y is not None:
-                out.append((y,))
-        return out
-    if rule in CONDITION_RULES:
+    if isinstance(phi, Star):
+        return closure.splits(x)
+    if isinstance(phi, Wand):
+        return [(y,) for y in (lsub(w, x) for w in closure.domain())
+                if y is not None]
+    if isinstance(phi, Modal):
         return [(y,) for y in modal_partners(closure, phi, x)]
-    raise ValueError(f"{rule} has no side condition")
+    return [()]
 
 
-def expand(rule: str, sf: SignedFormula, inst: tuple, fresh: list[str]):
+def expand(rule: str, sf: SignedFormula, inst: tuple, fresh=()):
     """Children produced by a rule application: a list of
-    (new signed formulas, new constraints) pairs."""
+    (new signed formulas, new constraints) pairs.  A rule that introduces
+    constants takes its labels from ``fresh`` when that is given and from
+    ``inst``, one of ``instances``, otherwise."""
     phi, x = sf.formula, sf.label
 
     def sfm(sign, f, lab):
         return SignedFormula(sign, f, lab)
 
+    if fresh:
+        inst = tuple(label(c) for c in fresh)
+        if isinstance(phi, Modal) and BASE_OF.get(phi.op, phi.op) != C:
+            # D and E partners carry the local resource
+            inst = (lmul(inst[0], lam(phi.term)),)
     if rule == "T_I":
         return [([], [ResEq(x, EPSILON)])]
     if rule == "T_not":
@@ -134,9 +147,9 @@ def expand(rule: str, sf: SignedFormula, inst: tuple, fresh: list[str]):
     if rule == "F_imp":
         return [([sfm(T, phi.left, x), sfm(F, phi.right, x)], [])]
     if rule == "T_star":
-        a, b = (label(fresh[0]), label(fresh[1]))
-        return [([sfm(T, phi.left, a), sfm(T, phi.right, b)],
-                 [ResEq(x, lmul(a, b))])]
+        y, z = inst
+        return [([sfm(T, phi.left, y), sfm(T, phi.right, z)],
+                 [ResEq(x, lmul(y, z))])]
     if rule == "F_star":
         y, z = inst
         return [([sfm(F, phi.left, y)], []), ([sfm(F, phi.right, z)], [])]
@@ -144,68 +157,28 @@ def expand(rule: str, sf: SignedFormula, inst: tuple, fresh: list[str]):
         (y,) = inst
         return [([sfm(F, phi.left, y)], []), ([sfm(T, phi.right, lmul(x, y))], [])]
     if rule == "F_wand":
-        a = label(fresh[0])
-        xa = lmul(x, a)
-        return [([sfm(T, phi.left, a), sfm(F, phi.right, xa)], [ResEq(xa, xa)])]
-
-    lam_t = lam(phi.term)
-    u = phi.agent
-    if rule == "T_C":
         (y,) = inst
-        return [([sfm(T, phi.body, y)], [])]
-    if rule == "F_C":
-        a = label(fresh[0])
-        return [([sfm(F, phi.body, a)], [AgentEq(u, lmul(x, lam_t), a)])]
-    if rule == "T_D":
-        al = lmul(label(fresh[0]), lam_t)
-        return [([sfm(T, phi.body, al)], [AgentEq(u, x, al)])]
-    if rule == "F_D":
-        (p,) = inst
-        return [([sfm(F, phi.body, p)], [])]
-    if rule == "T_E":
-        (p,) = inst
-        return [([sfm(T, phi.body, p)], [])]
-    if rule == "F_E":
-        al = lmul(label(fresh[0]), lam_t)
-        return [([sfm(F, phi.body, al)], [AgentEq(u, lmul(x, lam_t), al)])]
-    if rule == "T_Cd":
-        a = label(fresh[0])
-        return [([sfm(T, phi.body, a)], [AgentEq(u, lmul(x, lam_t), a)])]
-    if rule == "F_Cd":
+        xy = lmul(x, y)
+        return [([sfm(T, phi.left, y), sfm(F, phi.right, xy)], [ResEq(xy, xy)])]
+    if rule in CONDITION_RULES:     # universal modal rules
         (y,) = inst
-        return [([sfm(F, phi.body, y)], [])]
-    if rule == "T_Dd":
-        (p,) = inst
-        return [([sfm(T, phi.body, p)], [])]
-    if rule == "F_Dd":
-        al = lmul(label(fresh[0]), lam_t)
-        return [([sfm(F, phi.body, al)], [AgentEq(u, x, al)])]
-    if rule == "T_Ed":
-        al = lmul(label(fresh[0]), lam_t)
-        return [([sfm(T, phi.body, al)], [AgentEq(u, lmul(x, lam_t), al)])]
-    if rule == "F_Ed":
-        (p,) = inst
-        return [([sfm(F, phi.body, p)], [])]
+        return [([sfm(sf.sign, phi.body, y)], [])]
+    if rule in FRESH_NEED:          # existential modal rules
+        (y,) = inst
+        return [([sfm(sf.sign, phi.body, y)],
+                 [AgentEq(phi.agent, modal_source(phi, x), y)])]
     raise ValueError(f"unknown rule {rule}")
 
 
-def condition_fact(rule: str, sf: SignedFormula, inst: tuple):
-    """The closure fact licensing a condition-rule instance."""
+def condition_fact(sf: SignedFormula, inst: tuple):
+    """The closure fact licensing an instance of a condition-bearing rule."""
     phi, x = sf.formula, sf.label
-    if rule == "F_star":
+    if isinstance(phi, Star):
         return ("r", x, lmul(*inst))
-    if rule == "T_wand":
+    if isinstance(phi, Wand):
         xy = lmul(x, inst[0])
         return ("r", xy, xy)
-    lam_t = lam(phi.term)
-    u = phi.agent
-    if rule in ("T_C", "F_Cd"):
-        return ("a", u, lmul(x, lam_t), inst[0])
-    if rule in ("F_D", "T_Dd"):
-        return ("a", u, x, inst[0])
-    if rule in ("T_E", "F_Ed"):
-        return ("a", u, lmul(x, lam_t), inst[0])
-    raise ValueError(f"{rule} has no side condition")
+    return ("a", phi.agent, modal_source(phi, x), inst[0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +222,7 @@ class Branch:
             self.cond_sfs.append((rule, sf))
             self._enqueue_batch(
                 [RuleInstance(rule, sf, i) for i in
-                 condition_instances(rule, sf, self.closure)], rng)
+                 instances(sf, self.closure)], rng)
         else:
             self._enqueue_batch([RuleInstance(rule, sf)], rng)
 
@@ -269,7 +242,7 @@ class Branch:
         for (rule, sf) in self.cond_sfs:
             self._enqueue_batch(
                 [RuleInstance(rule, sf, i) for i in
-                 condition_instances(rule, sf, self.closure)], rng)
+                 instances(sf, self.closure)], rng)
 
     def _enqueue_batch(self, instances: list, rng=None) -> None:
         fresh = [ri for ri in instances
@@ -313,7 +286,7 @@ class Branch:
         for i, ri in enumerate(q):
             if ri.key() in self.done:
                 continue
-            spec = expand(ri.rule, ri.target, ri.inst, [])
+            spec = expand(ri.rule, ri.target, ri.inst)
             score = sum(1 for (sfs, _) in spec
                         if any(self._would_close(sf) for sf in sfs))
             if score == len(spec):
@@ -475,7 +448,7 @@ class Tableau:
             "fresh": fresh,
         }
         if ri.rule in CONDITION_RULES:
-            fact = condition_fact(ri.rule, ri.target, ri.inst)
+            fact = condition_fact(ri.target, ri.inst)
             entry["condition_fact"] = fact_str(fact)
             entry["condition_derivation"] = b.closure.derivation_chain(fact)
         for child, (sfs, constraints) in zip(children, children_spec):

@@ -11,7 +11,6 @@ from erl import (Budget, RunConfig, Signature, enumerate_models,
                  expand_duals, find_countermodel, parse_formula, prove,
                  satisfies, satisfies_direct, truth_set, valid_in_model,
                  validate_model)
-from erl.checker import _ts
 from erl.models import star_compat_violation
 from erl.labels import Closure, ResEq, AgentEq, label_of, corollary_check, \
     derived_rule_check
@@ -131,7 +130,7 @@ def _sweep(formulas, sig, logic, atoms=("p",)):
         count += 1
         cache = {}
         for f, phi in parsed.items():
-            if _ts(m, phi, cache) != m.full_mask:
+            if truth_set(m, phi, cache) != m.full_mask:
                 bad[f] += 1
     return count, bad
 
@@ -175,8 +174,8 @@ def test_criterion_5_dual_consistency():
         models += 1
         cache = {}
         for phi, exp in zip(corpus, expanded):
-            ts = _ts(m, phi, cache)
-            if ts != _ts(m, exp, cache):
+            ts = truth_set(m, phi, cache)
+            if ts != truth_set(m, exp, cache):
                 disagreements += 1
                 continue
             for w in m.carrier:
@@ -257,7 +256,7 @@ def test_criterion_8_conservativity():
         models += 1
         cache = {}
         for phi in parsed:
-            if _ts(m, phi, cache) != m.full_mask:
+            if truth_set(m, phi, cache) != m.full_mask:
                 violations += 1
     elapsed = time.time() - t0
     ok = violations == 0 and models > 0

@@ -151,3 +151,33 @@ def test_usage_error_exit(sig_file, tmp_path, capsys, monkeypatch):
             assert main(prove + flags) == 64, (flags, env)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_deep_nesting_exit(sig_file, tmp_path, capsys):
+    # 3,000 negations overflow the parser; 600 parse and overflow the prover
+    for text in ["!" * 3000 + "p", "!" * 600 + "p", "(" * 600 + "p" + ")" * 600]:
+        capsys.readouterr()
+        assert main(["prove", "--sig", sig_file, text, "--countermodel-out",
+                     str(tmp_path / "cm.json")]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_malformed_scenario_exit(tmp_path, capsys):
+    code, out = run(capsys, "scenario", "joint-access", "--dump")
+    good = json.loads(out)
+    query, step = good["queries"][0], good["replay"][0]
+    compose = {"kind": "compose", "args": {"left": "k1"}}
+    for bad in [{},
+                {**good, "models": list(good["models"].values())},
+                {**good, "queries": [{**query, "colour": "red"}]},
+                {**good, "queries": [{"formula": query["formula"]}]},
+                {**good, "queries": [{**query, "model": "absent"}]},
+                {**good, "replay": [{**step, "model": "absent"}]},
+                {**good, "replay": [compose]}]:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["scenario", "--file", str(path)]) == 65, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

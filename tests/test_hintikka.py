@@ -6,7 +6,7 @@ from erl.hintikka import (build_index, extract_model, is_hintikka,
                           verify_extraction)
 from erl.labels import AgentEq, Closure, ResEq, label, lmul
 from erl.models import validate_model, star_compat_violation
-from erl.tableaux import SignedFormula
+from erl.tableaux import RULES, SignedFormula, rule_for
 
 C1, C2, C3 = label("c1"), label("c2"), label("c3")
 LS, LR = label("s"), label("r")
@@ -69,6 +69,29 @@ def test_unsplit_star_is_condition_14():
     formulas = {SignedFormula("T", Star(Atom("p"), Atom("q")), C1)}
     verdict = is_hintikka(formulas, closure, sig)
     assert verdict is not None and verdict[0] == 14
+
+
+# The lone signed formula of each rule, in the order of conditions 5-29.
+SATURATION_CASES = [
+    ("T", "I"), ("T", "!p"), ("F", "!p"), ("T", "p & q"), ("F", "p & q"),
+    ("T", "p | q"), ("F", "p | q"), ("T", "p -> q"), ("F", "p -> q"),
+    ("T", "p * q"), ("F", "p * q"), ("T", "p -* q"), ("F", "p -* q"),
+    ("T", "[C a; e] p"), ("F", "[C a; e] p"), ("T", "<D a; e> p"),
+    ("F", "<D a; e> p"), ("T", "[E a; e] p"), ("F", "[E a; e] p"),
+    ("T", "<C a; e> p"), ("F", "<C a; e> p"), ("T", "[D a; e] p"),
+    ("F", "[D a; e] p"), ("T", "<E a; e> p"), ("F", "<E a; e> p"),
+]
+
+
+@pytest.mark.parametrize("index,sign,text", [
+    (i, sign, text) for i, (sign, text) in enumerate(SATURATION_CASES, start=5)])
+def test_unsaturated_rule_reports_its_condition(index, sign, text):
+    sig = sig_rs()
+    sf = SignedFormula(sign, parse_formula(text, sig), C1)
+    assert rule_for(sf) == RULES[index - 5]
+    closure = Closure.close([ResEq(C1, C1)], ["a"])
+    verdict = is_hintikka({sf}, closure, sig)
+    assert verdict is not None and verdict[0] == index
 
 
 def test_extraction_of_paper_model():
