@@ -3,9 +3,11 @@
 Three evaluation routes are provided on purpose:
 
 * ``truth_set`` computes, bottom-up and with world sets as bitmasks, the
-  set of worlds satisfying each subformula.  Dual modalities are evaluated
-  as the complement of the base modality on the complemented body, i.e.
-  literally as not-base-not.  This is the bulk evaluator.
+  set of worlds satisfying each subformula.  Every modality reads its
+  partner worlds off ``Model.partners``, which a modality and its dual
+  share: a universal modality (``syntax.UNIVERSAL``) holds where all its
+  partners satisfy the body, the other three where some partner does.
+  This is the bulk evaluator.
 * ``satisfies`` answers a single (world, formula) query through
   ``truth_set``.
 * ``satisfies_direct`` evaluates dual modalities by their direct clauses
@@ -26,7 +28,8 @@ from .config import ERL
 from .errors import ErlError
 from .models import Model, enumerate_models
 from .syntax import (And, Atom, Bot, Formula, Implies, Modal, Not, Or, Star,
-                     Top, Unit, Wand, BASE_OF, C, D, E, format_formula)
+                     Top, Unit, Wand, BASE_OF, C, D, E, UNIVERSAL,
+                     format_formula)
 
 
 class WorldNotInCarrier(ErlError):
@@ -87,55 +90,20 @@ def _ts(m: Model, phi: Formula, cache: dict) -> int:
             if ok:
                 out |= 1 << r
     elif isinstance(phi, Modal):
-        if phi.op in BASE_OF:
-            # dual = not base not
-            body = full & ~_ts(m, phi.body, cache)
-            out = full & ~_modal_set(m, BASE_OF[phi.op], phi, body)
+        body = _ts(m, phi.body, cache)
+        out = 0
+        if phi.op in UNIVERSAL:
+            failing = ~body
+            for r, partners in enumerate(m.partners(phi)):
+                if not partners & failing:
+                    out |= 1 << r
         else:
-            out = _modal_set(m, phi.op, phi, _ts(m, phi.body, cache))
+            for r, partners in enumerate(m.partners(phi)):
+                if partners & body:
+                    out |= 1 << r
     else:
         raise TypeError(f"not a formula: {phi!r}")
     cache[key] = out
-    return out
-
-
-def _modal_set(m: Model, op: str, phi: Modal, body: int) -> int:
-    """Worlds satisfying the base modality ``op`` with body truth-set ``body``."""
-    t = m.term_value_i(phi.term)
-    full = m.full_mask
-    out = 0
-    if op == C:
-        for r in range(m.n):
-            rt = None if t is None else m.compose_i(r, t)
-            if rt is None:
-                out |= 1 << r
-            elif m.class_of(phi.agent, rt) & ~body & full == 0:
-                out |= 1 << r
-    elif op == D:
-        image = 0
-        if t is not None:
-            for r2 in range(m.n):
-                v = m.compose_i(r2, t)
-                if v is not None:
-                    image |= 1 << v
-        for r in range(m.n):
-            if m.class_of(phi.agent, r) & image & body:
-                out |= 1 << r
-    elif op == E:
-        image = 0
-        if t is not None:
-            for r2 in range(m.n):
-                v = m.compose_i(r2, t)
-                if v is not None:
-                    image |= 1 << v
-        for r in range(m.n):
-            rt = None if t is None else m.compose_i(r, t)
-            if rt is None:
-                out |= 1 << r
-            elif m.class_of(phi.agent, rt) & image & ~body & full == 0:
-                out |= 1 << r
-    else:
-        raise ValueError(f"not a base modality: {op}")
     return out
 
 
@@ -313,35 +281,23 @@ def _explain(m: Model, r: int, phi: Formula, cache: dict) -> dict:
         if t is None:
             out["note"] = "local resource term is undefined in this model"
             return out
-        rt = m.compose_i(r, t)
-        if phi.op in (C, E, "Cdual", "Edual"):
+        if BASE_OF.get(phi.op, phi.op) != D:
+            rt = m.compose_i(r, t)
             if rt is None:
                 out["note"] = f"{names[r]}.{phi.term.text(m.sig.unit)} is undefined"
                 return out
             out["combination"] = names[rt]
-            cls = m.class_of(phi.agent, rt)
-            partners = [i for i in range(m.n) if cls >> i & 1]
-        else:
-            cls = m.class_of(phi.agent, r)
-            partners = [i for i in range(m.n) if cls >> i & 1]
-        if phi.op in (E, "Edual", D, "Ddual"):
-            image = {m.compose_i(r2, t) for r2 in range(m.n)} - {None}
-            partners = [i for i in partners if i in image]
+        partners = m.partners(phi)[r]
         bset = _ts(m, phi.body, cache)
-        if phi.op in (C, E, "Ddual"):
-            bad = [i for i in partners if not bset >> i & 1]
-            if bad:
-                out["partner"] = names[bad[0]]
-                out["because"] = [sub(bad[0], phi.body)]
-            else:
-                out["partners"] = [names[i] for i in partners]
+        # the partners failing a universal modality's body, or satisfying
+        # an existential one's; the first of them is the witness
+        hits = partners & (~bset if phi.op in UNIVERSAL else bset)
+        if hits:
+            i = (hits & -hits).bit_length() - 1
+            out["partner"] = names[i]
+            out["because"] = [sub(i, phi.body)]
         else:
-            good = [i for i in partners if bset >> i & 1]
-            if good:
-                out["partner"] = names[good[0]]
-                out["because"] = [sub(good[0], phi.body)]
-            else:
-                out["partners"] = [names[i] for i in partners]
+            out["partners"] = m.mask_worlds(partners)
         return out
     return out
 
@@ -360,9 +316,7 @@ def find_countermodel(phi: Formula, sig, carrier_bound: int = 4,
         atoms = atoms_of(phi)
     max_extra = max(0, carrier_bound - len(sig.resources))
     for m in enumerate_models(sig, max_extra, atoms, logic, cap):
-        ts = truth_set(m, phi)
-        if ts != m.full_mask:
-            for i in range(m.n):
-                if not ts >> i & 1:
-                    return (m, m.carrier[i])
+        ok, world = valid_in_model(m, phi)
+        if not ok:
+            return (m, world)
     return None

@@ -277,9 +277,6 @@ class Closure:
     def has_agent(self, u: str, x: Label, y: Label) -> bool:
         return u in self.agents and self._same(u, x, y)
 
-    def partners_res(self, x: Label) -> list:
-        return sorted(self._class(None, x), key=label_key)
-
     def partners_agent(self, u: str, x: Label, suffix: Label | None = None) -> list:
         """Without a suffix: all y with x ~[u] y.  With suffix w: all y such
         that x ~[u] y.w holds (the y of the modal rule conditions)."""

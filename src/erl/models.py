@@ -20,18 +20,19 @@ from typing import Iterable, Iterator
 
 from .config import is_star
 from .errors import BudgetTooLarge, ModelError
-from .syntax import Signature, Term, Violation, read_json
+from .syntax import (BASE_OF, C, D, Modal, Signature, Term, Violation,
+                     associativity_witness, read_json)
 
 _UNKNOWN = object()  # unassigned cell sentinel during enumeration
 
 
 class Model:
     __slots__ = ("sig", "carrier", "index", "unit_i", "comp", "equiv_pairs",
-                 "classmask", "valuation", "_splits", "_ext", "_tv")
+                 "classmask", "valuation", "_splits", "_ext", "_tv", "_partners")
 
     def __init__(self, sig: Signature, carrier: tuple[str, ...],
                  comp: dict, classmask: dict, valuation: dict,
-                 equiv_pairs: dict):
+                 equiv_pairs: dict, partners: dict | None = None):
         self.sig = sig
         self.carrier = carrier
         self.index = {w: i for i, w in enumerate(carrier)}
@@ -43,6 +44,9 @@ class Model:
         self._splits = None
         self._ext = None
         self._tv = {}
+        # models of one frame (carrier, composition, agent classes) may
+        # share this cache: their partner tables are the same
+        self._partners = {} if partners is None else partners
 
     # -- basic queries -------------------------------------------------------
 
@@ -79,17 +83,40 @@ class Model:
         self._tv[term] = val
         return val
 
+    def partners(self, phi: Modal) -> tuple:
+        """partners[r] = bitmask of the worlds the modality of ``phi`` reads
+        from world r, where u is its agent and t the value of its term.  A
+        modality and its dual read the same worlds:
+
+            C and its dual:  the u-class of r.t
+            D and its dual:  the u-class of r,   within the image of (-).t
+            E and its dual:  the u-class of r.t, within the image of (-).t
+
+        The mask is empty where t, or for C and E where r.t, is undefined."""
+        family = BASE_OF.get(phi.op, phi.op)
+        key = (family, phi.agent, phi.term)
+        out = self._partners.get(key)
+        if out is not None:
+            return out
+        n = len(self.carrier)
+        t = self.term_value_i(phi.term)
+        if t is None:
+            out = (0,) * n
+        else:
+            masks = self.classmask[phi.agent]
+            rt = [self.compose_i(r, t) for r in range(n)]
+            image = ((1 << n) - 1 if family == C else
+                     sum(1 << v for v in set(rt) - {None}))
+            sources = range(n) if family == D else rt
+            out = tuple([0 if v is None else masks[v] & image for v in sources])
+        self._partners[key] = out
+        return out
+
     def class_of(self, agent: str, i: int) -> int:
-        masks = self.classmask.get(agent)
-        if masks is None:
-            return 1 << i
-        return masks[i]
+        return self.classmask[agent][i]
 
     def atom_mask(self, atom: str) -> int:
         return self.valuation.get(atom, 0)
-
-    def holds(self, atom: str, world: str) -> bool:
-        return bool(self.atom_mask(atom) >> self.index[world] & 1)
 
     # -- precomputed structure for the evaluator ------------------------------
 
@@ -185,6 +212,9 @@ def make_model(sig: Signature, carrier: Iterable[str],
             raise ModelError(f"conflicting composition for {a}.{b}")
         table[cell] = k
 
+    unknown = sorted(set(equiv or {}) - sig.agents)
+    if unknown:
+        raise ModelError(f"equiv names agent {unknown[0]!r}, which the signature lacks")
     classmask = {}
     equiv_pairs = {}
     for agent in sorted(sig.agents):
@@ -234,21 +264,13 @@ def validate_model(m: Model, logic: str = "erl") -> list[Violation]:
 
     # Kleene associativity (with commutativity this is definedness-invariance
     # of every three-way product)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                bc = m.compose_i(b, c)
-                if bc is None:
-                    continue
-                abc = m.compose_i(a, bc)
-                if abc is None:
-                    continue
-                ab = m.compose_i(a, b)
-                if ab is None or m.compose_i(ab, c) != abc:
-                    out.append(Violation(
-                        "Associativity", (names[a], names[b], names[c]),
-                        f"{names[a]}.({names[b]}.{names[c]}) defined but reassociation fails"))
-                    return out
+    triple = associativity_witness(range(n), m.compose_i)
+    if triple is not None:
+        a, b, c = triple
+        out.append(Violation(
+            "Associativity", (names[a], names[b], names[c]),
+            f"{names[a]}.({names[b]}.{names[c]}) defined but reassociation fails"))
+        return out
 
     # composition extends the signature's syntactic composition
     for r in sorted(sig.resources):
@@ -419,7 +441,7 @@ def _perm_mask(mask: int, perm: tuple[int, ...], n: int) -> int:
 class _AssocChecker:
     """Incremental Kleene-associativity check over a partially built table."""
 
-    def __init__(self, n: int, unit_i: int, cells: list, lookup: dict):
+    def __init__(self, n: int, unit_i: int, lookup: dict):
         self.n = n
         self.unit_i = unit_i
         self.lookup = lookup  # mutated by the enumerator
@@ -514,7 +536,7 @@ def enumerate_prms(sig: Signature, extra: int) -> Iterator[tuple]:
         perms.append(tuple(mapping))
 
     lookup: dict = {}
-    checker = _AssocChecker(n, unit_i, cells, lookup)
+    checker = _AssocChecker(n, unit_i, lookup)
 
     def rec(idx: int):
         if idx == len(cells):
@@ -588,13 +610,15 @@ def enumerate_models(sig: Signature, max_extra: int, atoms: Iterable[str],
                 stab2 = [p for p in nontrivial_stab
                          if all(_perm_rgs(r, p) == r for r in assignment)]
                 equiv_pairs = _pairs_from_masks(carrier, classmask)
+                partners: dict = {}
                 for masks in product(range(1 << n), repeat=len(atoms)):
                     if stab2 and any(
                             tuple(_perm_mask(mk, p, n) for mk in masks) < masks
                             for p in stab2):
                         continue
                     val = dict(zip(atoms, masks))
-                    yield Model(sig, carrier, comp, classmask, val, equiv_pairs)
+                    yield Model(sig, carrier, comp, classmask, val, equiv_pairs,
+                                partners)
 
 
 def _pairs_from_masks(carrier, classmask) -> dict:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
-from .checker import satisfies, valid_in_model
+from .checker import WorldNotInCarrier, satisfies, valid_in_model
 from .config import ERL_STAR
-from .errors import ErlError
+from .errors import ErlError, UnknownAgentError
 from .models import load_model, validate_model
 from .syntax import (Signature, load_signature, parse_formula, read_json,
                      signature_to_json)
@@ -128,6 +128,12 @@ def _run_replay(models: dict, step: ReplayStep) -> ReportEntry:
     label = f"replay[{step.model}] {step.kind} {a}"
     if step.note:
         label += f" ({step.note})"
+    if step.kind in ("compose", "equiv"):
+        for world in (a["left"], a["right"]):
+            if world not in m.index:
+                raise WorldNotInCarrier(world)
+    if step.kind == "equiv" and a["agent"] not in m.sig.agents:
+        raise UnknownAgentError(a["agent"])
     if step.kind == "compose":
         got = m.compose(a["left"], a["right"])
         want = a.get("result")

@@ -145,27 +145,32 @@ def validate_signature(sig: Signature) -> list[Violation]:
             break
 
     # Kleene associativity: r.(s.t) defined forces (r.s).t defined and equal.
-    done = False
-    for r in sorted(names):
-        if done:
-            break
-        for s in sorted(names):
-            if done:
-                break
-            for t in sorted(names):
-                st = sig.compose(s, t)
+    triple = associativity_witness(sorted(names), sig.compose)
+    if triple is not None:
+        r, s, t = triple
+        out.append(Violation("Associativity", triple,
+                             f"{r}.({s}.{t}) = {sig.compose(r, sig.compose(s, t))} "
+                             f"but ({r}.{s}).{t} differs"))
+    return out
+
+
+def associativity_witness(elements, compose):
+    """The first triple (r, s, t) of ``elements``, in loop order, with
+    r.(s.t) defined but (r.s).t undefined or different; None when
+    ``compose`` (None for undefined) is Kleene associative on them."""
+    for r in elements:
+        for s in elements:
+            for t in elements:
+                st = compose(s, t)
                 if st is None:
                     continue
-                r_st = sig.compose(r, st)
+                r_st = compose(r, st)
                 if r_st is None:
                     continue
-                rs = sig.compose(r, s)
-                if rs is None or sig.compose(rs, t) != r_st:
-                    out.append(Violation("Associativity", (r, s, t),
-                                         f"{r}.({s}.{t}) = {r_st} but ({r}.{s}).{t} differs"))
-                    done = True
-                    break
-    return out
+                rs = compose(r, s)
+                if rs is None or compose(rs, t) != r_st:
+                    return (r, s, t)
+    return None
 
 
 def read_json(source, error: type[ErlError], lists=()) -> dict:
@@ -253,7 +258,17 @@ C, D, E = "C", "D", "E"
 CDUAL, DDUAL, EDUAL = "Cdual", "Ddual", "Edual"
 MODAL_OPS = (C, D, E, CDUAL, DDUAL, EDUAL)
 BASE_OF = {CDUAL: C, DDUAL: D, EDUAL: E}
-DUAL_OF = {v: k for k, v in BASE_OF.items()}
+
+# (bracket, letter) -> modality constructor tag
+_MODAL_TAG = {
+    ("[", "C"): C, ("[", "D"): DDUAL, ("[", "E"): E,
+    ("<", "C"): CDUAL, ("<", "D"): D, ("<", "E"): EDUAL,
+}
+# The universal modalities, written with box brackets: each holds when its
+# body holds at every partner world.  The other three hold when the body
+# holds at some partner world.
+UNIVERSAL = frozenset(op for (bracket, _), op in _MODAL_TAG.items()
+                      if bracket == "[")
 
 
 class Formula:
@@ -368,12 +383,6 @@ _TOKEN = re.compile(r"(->|-\*|[()\[\]<>;.!&|*]|[A-Za-z_][A-Za-z0-9_]*)")
 _WS = re.compile(r"\s*")
 
 _RESERVED = {"top", "bot", "I"}
-
-# (bracket, letter) -> modality constructor tag
-_MODAL_TAG = {
-    ("[", "C"): C, ("[", "D"): DDUAL, ("[", "E"): E,
-    ("<", "C"): CDUAL, ("<", "D"): D, ("<", "E"): EDUAL,
-}
 
 
 class _Tokens:
@@ -517,10 +526,8 @@ def _parse_modal(toks, sig) -> Formula:
 
 _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_STAR, _LEVEL_UNARY = range(5)
 
-_MODAL_TEXT = {
-    C: ("[", "C", "]"), DDUAL: ("[", "D", "]"), E: ("[", "E", "]"),
-    CDUAL: ("<", "C", ">"), D: ("<", "D", ">"), EDUAL: ("<", "E", ">"),
-}
+_MODAL_TEXT = {op: (bracket, letter, "]" if bracket == "[" else ">")
+               for (bracket, letter), op in _MODAL_TAG.items()}
 
 
 def format_formula(phi: Formula, unit: str = "e") -> str:

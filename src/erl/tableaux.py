@@ -33,7 +33,7 @@ from .labels import (AgentEq, Closure, EPSILON, ResEq, fact_str, label,
                      modal_partners, modal_source)
 from .syntax import (BASE_OF, And, Atom, Bot, Formula, Implies, Modal, Not, Or,
                      Signature, Star, Top, Unit, Wand, C, D, E, CDUAL, DDUAL,
-                     EDUAL)
+                     EDUAL, UNIVERSAL)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ _MODAL_TAG = {C: "C", D: "D", E: "E", CDUAL: "Cd", DDUAL: "Dd", EDUAL: "Ed"}
 # instance per partner label the closure gives, when a box-like modality (C,
 # E or the dual of D) is signed T or its dual is signed F; otherwise it
 # introduces one fresh constant.  This is Fitting's nu/pi uniform notation.
-_MODAL_RULES = {f"{sign}_{tag}": (sign == T) == (op in (C, E, DDUAL))
+_MODAL_RULES = {f"{sign}_{tag}": (sign == T) == (op in UNIVERSAL)
                 for op, tag in _MODAL_TAG.items() for sign in (T, F)}
 
 # The 25 rules in the order of their Hintikka conditions: rule RULES[i] is

@@ -7,6 +7,7 @@ from erl import (Atom, Modal, Not, Signature, Top, Unit, CDUAL, C,
                  make_model, parse_formula, satisfies, satisfies_direct,
                  term_of, truth_set, valid_in_model)
 from erl.checker import WorldNotInCarrier, explain
+from erl.syntax import MODAL_OPS, UNIVERSAL
 
 from conftest import random_formula
 from test_models import paper_countermodel
@@ -124,3 +125,31 @@ def test_explain_witnesses():
     assert j.witness["partner"] in ("c2", "c1.s")
     j = explain(m, "c1.s", parse_formula("p * top", m.sig))
     assert j.verdict and j.witness["split"] == ["c1.s", "e"]
+
+
+@pytest.mark.parametrize("term", ["e", "r", "s", "r.s"])
+@pytest.mark.parametrize("op", MODAL_OPS)
+def test_modality_partners(op, term):
+    # the paper model leaves r.s undefined, and r.t undefined for most r
+    m = paper_countermodel()
+    phi = Modal(op, "a", term_of(term.split("."), m.sig), Atom("p"))
+    ts = truth_set(m, phi)
+    p = truth_set(m, Atom("p"))
+    universal = op in UNIVERSAL
+    for w in m.carrier:
+        verdict = bool(ts >> m.index[w] & 1)
+        assert satisfies_direct(m, w, phi) == verdict
+        witness = explain(m, w, phi).witness
+        if "partner" in witness:
+            # a failing partner refutes a universal modality, a satisfying
+            # one proves an existential modality
+            assert verdict != universal
+            assert bool(p >> m.index[witness["partner"]] & 1) == verdict
+        else:
+            # no such partner among the partners listed (none where the
+            # term or the combination is undefined)
+            assert ("partners" in witness) != ("note" in witness)
+            body = [bool(p >> m.index[v] & 1)
+                    for v in witness.get("partners", [])]
+            assert verdict == (all(body) if universal else any(body))
+            assert verdict == universal

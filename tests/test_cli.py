@@ -59,6 +59,11 @@ def test_check_usage_errors(sig_file, tmp_path, capsys):
         "[C a; s] p -> [C a; s] [C a; r] p", "--countermodel-out", out_file)
     code, _ = run(capsys, "check", "--model", out_file, "top", "--at", "zz")
     assert code == 65
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"signature": SIG, "carrier": ["e", "r", "s"],
+                                 "equiv": {"zz": [["e", "r"]]}}))
+    code, _ = run(capsys, "check", "--model", str(model), "top", "--at", "e")
+    assert code == 65
 
 
 def test_string_for_name_list_exit(tmp_path, capsys):
@@ -174,7 +179,15 @@ def test_malformed_scenario_exit(tmp_path, capsys):
                 {**good, "queries": [{"formula": query["formula"]}]},
                 {**good, "queries": [{**query, "model": "absent"}]},
                 {**good, "replay": [{**step, "model": "absent"}]},
-                {**good, "replay": [compose]}]:
+                {**good, "replay": [compose]},
+                {**good, "replay": [{**step, "kind": "compose",
+                                     "args": {"left": "nowhere", "right": "e"}}]},
+                {**good, "replay": [{**step, "kind": "equiv",
+                                     "args": {"agent": "alpha", "left": "e",
+                                              "right": "nowhere"}}]},
+                {**good, "replay": [{**step, "kind": "equiv",
+                                     "args": {"agent": "zz", "left": "e",
+                                              "right": "e"}}]}]:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(bad))
         capsys.readouterr()

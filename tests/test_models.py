@@ -145,3 +145,5 @@ def test_make_model_errors():
     with pytest.raises(ModelError):
         make_model(sig, ["e", "s", "w1"],
                    [("s", "s", "w1"), ("s", "s", "e")])
+    with pytest.raises(ModelError):
+        make_model(sig, ["e", "s"], [], {"zz": [("e", "s")]})  # unknown agent
