@@ -57,9 +57,8 @@ def main():
     total = 0
     for m in stream:
         total += 1
-        cache = {}
         for name, phi in parsed:
-            if truth_set(m, phi, cache) != m.full_mask:
+            if truth_set(m, phi) != m.full_mask:
                 counts[name] += 1
     elapsed = time.time() - t0
     print(f"{mode}: {total} {args.logic} models with up to {args.extra} "

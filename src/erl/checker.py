@@ -1,19 +1,24 @@
 """The satisfaction relation over finite models.
 
-Three evaluation routes are provided on purpose:
+``truth_set`` is the one evaluator.  It works on a model's frame and the
+block of valuations the model sits in (see ``models``): the table of a
+formula holds one int per world, whose bit v is set when the formula holds
+at that world under valuation v of the block.  Boolean connectives are
+bitwise operations on these rows; star, wand and the modalities are ORs and
+ANDs over rows.  Every modality reads its partner worlds off
+``Frame.partners``, which a modality and its dual share: a universal
+modality (``syntax.UNIVERSAL``) holds where all its partners satisfy the
+body, the other three where some partner does.  A table is built once per
+frame and block, for the formula and each subformula, and kept on the
+frame (at most ``models.TABLES`` of them); a model's truth set is its
+column of the table.  ``satisfies``,
+``valid_in_model``, ``explain`` and ``find_countermodel`` read truth sets.
 
-* ``truth_set`` computes, bottom-up and with world sets as bitmasks, the
-  set of worlds satisfying each subformula.  Every modality reads its
-  partner worlds off ``Model.partners``, which a modality and its dual
-  share: a universal modality (``syntax.UNIVERSAL``) holds where all its
-  partners satisfy the body, the other three where some partner does.
-  This is the bulk evaluator.
-* ``satisfies`` answers a single (world, formula) query through
-  ``truth_set``.
-* ``satisfies_direct`` evaluates dual modalities by their direct clauses
-  with definedness guards placed conjunctively (so that they agree with the
-  not-base-not reading even where composition is undefined).  It exists as
-  an independent cross-check and is deliberately naive.
+``satisfies_direct`` evaluates one world at a time, and the dual modalities
+by their direct clauses with definedness guards placed conjunctively (so
+that they agree with the not-base-not reading even where composition is
+undefined).  It exists as an independent cross-check and is deliberately
+naive.
 
 ``find_countermodel`` is the brute-force oracle: it walks the model
 enumeration stream and returns the first model and world falsifying the
@@ -23,10 +28,11 @@ formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import and_, or_
 
 from .config import ERL
 from .errors import ErlError
-from .models import Model, enumerate_models
+from .models import TABLES, Frame, Model, Valuations, enumerate_models
 from .syntax import (And, Atom, Bot, Formula, Implies, Modal, Not, Or, Star,
                      Top, Unit, Wand, BASE_OF, C, D, E, UNIVERSAL,
                      format_formula)
@@ -38,79 +44,94 @@ class WorldNotInCarrier(ErlError):
 
 
 # ---------------------------------------------------------------------------
-# Bitmask evaluation
+# Bulk evaluation
 
 
 def truth_set(m: Model, phi: Formula, cache: dict | None = None) -> int:
-    """Bitmask of worlds of ``m`` satisfying ``phi``."""
-    if cache is None:
-        cache = {}
-    return _ts(m, phi, cache)
-
-
-def _ts(m: Model, phi: Formula, cache: dict) -> int:
-    key = id(phi)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    full = m.full_mask
-    if isinstance(phi, Atom):
-        out = m.atom_mask(phi.name)
-    elif isinstance(phi, Top):
-        out = full
-    elif isinstance(phi, Bot):
-        out = 0
-    elif isinstance(phi, Unit):
-        out = 1 << m.unit_i
-    elif isinstance(phi, Not):
-        out = full & ~_ts(m, phi.body, cache)
-    elif isinstance(phi, And):
-        out = _ts(m, phi.left, cache) & _ts(m, phi.right, cache)
-    elif isinstance(phi, Or):
-        out = _ts(m, phi.left, cache) | _ts(m, phi.right, cache)
-    elif isinstance(phi, Implies):
-        out = (full & ~_ts(m, phi.left, cache)) | _ts(m, phi.right, cache)
-    elif isinstance(phi, Star):
-        sl, sr = _ts(m, phi.left, cache), _ts(m, phi.right, cache)
-        out = 0
-        for r in range(m.n):
-            for (i, j) in m.splits[r]:
-                if sl >> i & 1 and sr >> j & 1:
-                    out |= 1 << r
-                    break
-    elif isinstance(phi, Wand):
-        sl, sr = _ts(m, phi.left, cache), _ts(m, phi.right, cache)
-        out = 0
-        for r in range(m.n):
-            ok = True
-            for (j, k) in m.extensions[r]:
-                if sl >> j & 1 and not sr >> k & 1:
-                    ok = False
-                    break
-            if ok:
-                out |= 1 << r
-    elif isinstance(phi, Modal):
-        body = _ts(m, phi.body, cache)
-        out = 0
-        if phi.op in UNIVERSAL:
-            failing = ~body
-            for r, partners in enumerate(m.partners(phi)):
-                if not partners & failing:
-                    out |= 1 << r
-        else:
-            for r, partners in enumerate(m.partners(phi)):
-                if partners & body:
-                    out |= 1 << r
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    cache[key] = out
+    """Bitmask of worlds of ``m`` satisfying ``phi``: the model's column of
+    the formula's table on its frame.  ``cache`` is not read, as the frame
+    keeps the tables; the parameter stays for callers that pass one."""
+    col = m.col
+    out = 0
+    bit = 1
+    for row in _rows(m.frame, m.block, phi):
+        if row >> col & 1:
+            out |= bit
+        bit <<= 1
     return out
 
 
-def satisfies(m: Model, world: str, phi: Formula, cache: dict | None = None) -> bool:
+def _rows(f: Frame, block: Valuations, phi: Formula) -> tuple:
+    """The table of ``phi`` on ``block``: per world, the valuations of the
+    block under which ``phi`` holds there."""
+    hit = f.tables.get(id(phi))
+    if hit is not None and hit[1] is block:
+        return hit[2]
+    full = block.full
+    if isinstance(phi, Atom):
+        out = block.atom_rows(phi.name, f.n)
+    elif isinstance(phi, Top):
+        out = (full,) * f.n
+    elif isinstance(phi, Bot):
+        out = (0,) * f.n
+    elif isinstance(phi, Unit):
+        out = tuple(full if w == f.unit_i else 0 for w in range(f.n))
+    elif isinstance(phi, Not):
+        out = tuple(full ^ x for x in _rows(f, block, phi.body))
+    elif isinstance(phi, And):
+        out = tuple(map(and_, _rows(f, block, phi.left), _rows(f, block, phi.right)))
+    elif isinstance(phi, Or):
+        out = tuple(map(or_, _rows(f, block, phi.left), _rows(f, block, phi.right)))
+    elif isinstance(phi, Implies):
+        out = tuple((full ^ x) | y for x, y in zip(_rows(f, block, phi.left),
+                                                   _rows(f, block, phi.right)))
+    elif isinstance(phi, Star):
+        sl, sr = _rows(f, block, phi.left), _rows(f, block, phi.right)
+        out = []
+        for splits in f.splits:
+            acc = 0
+            for (i, j) in splits:
+                acc |= sl[i] & sr[j]
+            out.append(acc)
+        out = tuple(out)
+    elif isinstance(phi, Wand):
+        sl, sr = _rows(f, block, phi.left), _rows(f, block, phi.right)
+        out = []
+        for extensions in f.extensions:
+            bad = 0
+            for (j, k) in extensions:
+                bad |= sl[j] & ~sr[k]
+            out.append(full ^ bad)
+        out = tuple(out)
+    elif isinstance(phi, Modal):
+        body = _rows(f, block, phi.body)
+        universal = phi.op in UNIVERSAL
+        out = []
+        for partners in f.partners(phi):
+            acc = full if universal else 0
+            w = 0
+            while partners:
+                if partners & 1:
+                    if universal:
+                        acc &= body[w]
+                    else:
+                        acc |= body[w]
+                partners >>= 1
+                w += 1
+            out.append(acc)
+        out = tuple(out)
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+    if len(f.tables) >= TABLES:
+        f.tables.clear()
+    f.tables[id(phi)] = (phi, block, out)
+    return out
+
+
+def satisfies(m: Model, world: str, phi: Formula) -> bool:
     if world not in m.index:
         raise WorldNotInCarrier(world)
-    return bool(truth_set(m, phi, cache) >> m.index[world] & 1)
+    return bool(truth_set(m, phi) >> m.index[world] & 1)
 
 
 def valid_in_model(m: Model, phi: Formula) -> tuple[bool, str | None]:
@@ -233,20 +254,19 @@ class Judgment:
 def explain(m: Model, world: str, phi: Formula) -> Judgment:
     if world not in m.index:
         raise WorldNotInCarrier(world)
-    cache: dict = {}
-    verdict = satisfies(m, world, phi, cache)
-    witness = _explain(m, m.index[world], phi, cache)
+    verdict = satisfies(m, world, phi)
+    witness = _explain(m, m.index[world], phi)
     return Judgment(world, format_formula(phi, m.sig.unit), verdict, witness)
 
 
-def _explain(m: Model, r: int, phi: Formula, cache: dict) -> dict:
+def _explain(m: Model, r: int, phi: Formula) -> dict:
     names = m.carrier
-    holds = bool(_ts(m, phi, cache) >> r & 1)
+    holds = bool(truth_set(m, phi) >> r & 1)
     out = {"formula": format_formula(phi, m.sig.unit), "world": names[r],
            "verdict": holds}
 
     def sub(i, psi):
-        return _explain(m, i, psi, cache)
+        return _explain(m, i, psi)
 
     if isinstance(phi, (Atom, Top, Bot, Unit)):
         return out
@@ -258,7 +278,7 @@ def _explain(m: Model, r: int, phi: Formula, cache: dict) -> dict:
         return out
     if isinstance(phi, Star):
         if holds:
-            sl, sr = _ts(m, phi.left, cache), _ts(m, phi.right, cache)
+            sl, sr = truth_set(m, phi.left), truth_set(m, phi.right)
             for (i, j) in m.splits[r]:
                 if sl >> i & 1 and sr >> j & 1:
                     out["split"] = [names[i], names[j]]
@@ -269,7 +289,7 @@ def _explain(m: Model, r: int, phi: Formula, cache: dict) -> dict:
         return out
     if isinstance(phi, Wand):
         if not holds:
-            sl, sr = _ts(m, phi.left, cache), _ts(m, phi.right, cache)
+            sl, sr = truth_set(m, phi.left), truth_set(m, phi.right)
             for (j, k) in m.extensions[r]:
                 if sl >> j & 1 and not sr >> k & 1:
                     out["extension"] = [names[j], names[k]]
@@ -288,7 +308,7 @@ def _explain(m: Model, r: int, phi: Formula, cache: dict) -> dict:
                 return out
             out["combination"] = names[rt]
         partners = m.partners(phi)[r]
-        bset = _ts(m, phi.body, cache)
+        bset = truth_set(m, phi.body)
         # the partners failing a universal modality's body, or satisfying
         # an existential one's; the first of them is the witness
         hits = partners & (~bset if phi.op in UNIVERSAL else bset)

@@ -199,12 +199,11 @@ def verify_extraction(model: Model, formulas, closure: Closure, sig: Signature,
     if violations:
         return {"kind": "invalid-model", "violations": [str(v) for v in violations]}
     index = build_index(closure, sig)
-    cache: dict = {}
     for sf in sorted(formulas, key=lambda s: (s.sign, label_key(s.label),
                                               format_formula(s.formula))):
         world = index.world_of(sf.label)
         want = sf.sign == "T"
-        if satisfies(model, world, sf.formula, cache) != want:
+        if satisfies(model, world, sf.formula) != want:
             return {"kind": "forcing-failure", "formula": sf.text(sig.unit),
                     "world": world}
     return None

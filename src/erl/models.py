@@ -1,21 +1,36 @@
 """Finite partial resource monoids and Kripke-style models over them.
 
-A model fixes a finite carrier extending the signature's resources, a
-partial commutative-associative composition with the unit as neutral
-element, one equivalence relation per agent, and a valuation.  Worlds are
-referred to by name at the API surface; internally they are indexed and
+A model is a frame plus a valuation.  The frame (``Frame``) fixes a finite
+carrier extending the signature's resources, a partial
+commutative-associative composition with the unit as neutral element, and
+one equivalence relation per agent; it also holds everything derived from
+those alone: the world index, splits and extensions of each world, term
+values, the partner table of each modality, and the evaluation tables of
+``checker.truth_set``.  A valuation maps each atom to a world set.  Worlds
+are referred to by name at the API surface; internally they are indexed and
 world sets are bitmasks.
+
+The valuations of a frame come in blocks (``Valuations``) of at most
+``BLOCK``; bit v of an evaluation table's row stands for valuation v of the
+block, so one table serves every model of the block.  A ``Model`` is a
+frame, its valuation, and the block and column it sits in; it reads the
+frame's fields through.  ``make_model`` and ``sample_models`` build frames
+with a single valuation.  A model's valuation must not change once it has
+been evaluated: the tables would keep the old one.
 
 ``enumerate_models`` streams every model over the signature's resources
 plus a bounded number of fresh worlds, modulo permutations of the fresh
-worlds, using backtracking over composition cells with early associativity
-pruning.  It is the ground truth the prover is checked against.
+worlds, using backtracking over composition cells with incremental
+associativity pruning.  All models of one frame share one ``Frame``.  It is
+the ground truth the prover is checked against.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from functools import cache
+from itertools import islice, permutations, product
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .config import is_star
@@ -25,38 +40,66 @@ from .syntax import (BASE_OF, C, D, Modal, Signature, Term, Violation,
 
 _UNKNOWN = object()  # unassigned cell sentinel during enumeration
 
+# Valuations per evaluation table.  A frame with more valuations is
+# evaluated one block at a time, in enumeration order.
+BLOCK = 256
 
-class Model:
-    __slots__ = ("sig", "carrier", "index", "unit_i", "comp", "equiv_pairs",
-                 "classmask", "valuation", "_splits", "_ext", "_tv", "_partners")
+# Evaluation tables a frame keeps.  A frame that would hold more drops
+# them all and rebuilds what it reads again, so that a long-lived model
+# evaluated against ever new formulas stays bounded.
+TABLES = 4096
 
-    def __init__(self, sig: Signature, carrier: tuple[str, ...],
-                 comp: dict, classmask: dict, valuation: dict,
-                 equiv_pairs: dict, partners: dict | None = None):
+
+class Frame:
+    """Carrier, composition and agent classes, and what depends on them
+    alone.  ``tables`` maps ``id(phi)`` to ``(phi, block, rows)``, the
+    evaluation table of ``phi`` on one block of valuations (see
+    ``checker``), at most ``TABLES`` of them; holding ``phi`` keeps its id
+    from being reused while the entry lives."""
+
+    __slots__ = ("sig", "carrier", "index", "n", "full_mask", "unit_i", "comp",
+                 "classmask", "equiv_pairs", "splits", "extensions", "_tv",
+                 "_partners", "tables")
+
+    def __init__(self, sig: Signature, carrier: tuple[str, ...], comp: dict,
+                 classmask: dict, equiv_pairs: dict,
+                 like: Frame | None = None):
         self.sig = sig
         self.carrier = carrier
-        self.index = {w: i for i, w in enumerate(carrier)}
-        self.unit_i = self.index[sig.unit]
         self.comp = comp                  # {(i, j) with i <= j: k}, unit rows implicit
-        self.classmask = classmask        # agent -> list of bitmask per world
-        self.valuation = valuation        # atom -> bitmask
-        self.equiv_pairs = equiv_pairs    # agent -> sorted generator pairs (names)
-        self._splits = None
-        self._ext = None
+        self.classmask = classmask        # agent -> class bitmask per world
+        self.equiv_pairs = equiv_pairs    # agent -> sorted generator pairs (indices)
+        self._partners = {}
+        self.tables = {}
+        if like is not None:
+            # the same carrier and composition: share what derives from them
+            (self.index, self.n, self.full_mask, self.unit_i, self.splits,
+             self.extensions, self._tv) = (
+                like.index, like.n, like.full_mask, like.unit_i, like.splits,
+                like.extensions, like._tv)
+            return
+        self.index = {w: i for i, w in enumerate(carrier)}
+        self.n = n = len(carrier)
+        self.full_mask = (1 << n) - 1
+        self.unit_i = self.index[sig.unit]
         self._tv = {}
-        # models of one frame (carrier, composition, agent classes) may
-        # share this cache: their partner tables are the same
-        self._partners = {} if partners is None else partners
-
-    # -- basic queries -------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self.carrier)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+        # every defined product i . j = k, in (i, j) order: the unit rows,
+        # and each cell both ways round
+        u = self.unit_i
+        products = [(u, i, i) for i in range(n)] + \
+            [(i, u, i) for i in range(n) if i != u]
+        for (i, j), k in comp.items():
+            products.append((i, j, k))
+            if i != j:
+                products.append((j, i, k))
+        products.sort()
+        splits = [[] for _ in range(n)]   # r -> (i, j) with i . j = r
+        ext = [[] for _ in range(n)]      # i -> (j, i . j) where defined
+        for i, j, k in products:
+            splits[k].append((i, j))
+            ext[i].append((j, k))
+        self.splits = tuple(map(tuple, splits))
+        self.extensions = tuple(map(tuple, ext))
 
     def compose_i(self, i: int, j: int) -> int | None:
         if i == self.unit_i:
@@ -98,14 +141,14 @@ class Model:
         out = self._partners.get(key)
         if out is not None:
             return out
-        n = len(self.carrier)
+        n = self.n
         t = self.term_value_i(phi.term)
         if t is None:
             out = (0,) * n
         else:
             masks = self.classmask[phi.agent]
             rt = [self.compose_i(r, t) for r in range(n)]
-            image = ((1 << n) - 1 if family == C else
+            image = (self.full_mask if family == C else
                      sum(1 << v for v in set(rt) - {None}))
             sources = range(n) if family == D else rt
             out = tuple([0 if v is None else masks[v] & image for v in sources])
@@ -115,39 +158,59 @@ class Model:
     def class_of(self, agent: str, i: int) -> int:
         return self.classmask[agent][i]
 
-    def atom_mask(self, atom: str) -> int:
-        return self.valuation.get(atom, 0)
-
-    # -- precomputed structure for the evaluator ------------------------------
-
-    @property
-    def splits(self) -> tuple:
-        """splits[r] = tuple of (i, j) with i . j = r (ordered pairs)."""
-        if self._splits is None:
-            out = [[] for _ in range(self.n)]
-            for i in range(self.n):
-                for j in range(self.n):
-                    k = self.compose_i(i, j)
-                    if k is not None:
-                        out[k].append((i, j))
-            self._splits = tuple(tuple(v) for v in out)
-        return self._splits
-
-    @property
-    def extensions(self) -> tuple:
-        """extensions[r] = tuple of (j, r.j) over defined compositions."""
-        if self._ext is None:
-            out = [[] for _ in range(self.n)]
-            for i in range(self.n):
-                for j in range(self.n):
-                    k = self.compose_i(i, j)
-                    if k is not None:
-                        out[i].append((j, k))
-            self._ext = tuple(tuple(v) for v in out)
-        return self._ext
-
     def mask_worlds(self, mask: int) -> list[str]:
         return [self.carrier[i] for i in range(self.n) if mask >> i & 1]
+
+
+class Valuations:
+    """A block of at most ``BLOCK`` valuations of one frame, in enumeration
+    order: valuation v sets bit v of every table row."""
+
+    __slots__ = ("valuations", "full", "_atoms")
+
+    def __init__(self, valuations: list):
+        self.valuations = valuations      # atom -> world bitmask, per column
+        self.full = (1 << len(valuations)) - 1
+        self._atoms = {}
+
+    def atom_rows(self, atom: str, n: int) -> tuple:
+        """rows[w] = the valuations that make ``atom`` true at world w."""
+        rows = self._atoms.get(atom)
+        if rows is None:
+            cols = {}                     # mask -> valuations giving it
+            bit = 1
+            for val in self.valuations:
+                mask = val.get(atom, 0)
+                cols[mask] = cols.get(mask, 0) | bit
+                bit <<= 1
+            out = [0] * n
+            for mask, vs in cols.items():
+                w = 0
+                while mask:
+                    if mask & 1:
+                        out[w] |= vs
+                    mask >>= 1
+                    w += 1
+            rows = self._atoms[atom] = tuple(out)
+        return rows
+
+
+class Model:
+    """A frame and one valuation, column ``col`` of the block ``block``.
+    The frame's fields and queries read through (``m.carrier``,
+    ``m.compose``, ...)."""
+
+    __slots__ = ("frame", "valuation", "block", "col")
+
+    def __init__(self, frame: Frame, valuation: dict,
+                 block: Valuations | None = None, col: int = 0):
+        self.frame = frame
+        self.valuation = valuation        # atom -> bitmask
+        self.block = Valuations([valuation]) if block is None else block
+        self.col = col
+
+    def atom_mask(self, atom: str) -> int:
+        return self.valuation.get(atom, 0)
 
     def key(self) -> tuple:
         """Value identity, used for duplicate detection in tests."""
@@ -160,6 +223,12 @@ class Model:
         cells = ", ".join(f"{self.carrier[i]}.{self.carrier[j]}={self.carrier[k]}"
                           for (i, j), k in sorted(self.comp.items()))
         return f"<Model carrier={list(self.carrier)} comp=[{cells}]>"
+
+
+for _name in ("sig", "carrier", "index", "n", "full_mask", "unit_i", "comp",
+              "classmask", "equiv_pairs", "splits", "extensions", "compose_i",
+              "compose", "term_value_i", "partners", "class_of", "mask_worlds"):
+    setattr(Model, _name, property(attrgetter("frame." + _name)))
 
 
 def _close_equiv(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -237,7 +306,7 @@ def make_model(sig: Signature, carrier: Iterable[str],
             mask |= 1 << index[w]
         val[atom] = mask
 
-    return Model(sig, carrier, table, classmask, val, equiv_pairs)
+    return Model(Frame(sig, carrier, table, classmask, equiv_pairs), val)
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +377,22 @@ def validate_model(m: Model, logic: str = "erl") -> list[Violation]:
     return out
 
 
-def star_compat_violation(m: Model) -> tuple | None:
+def star_compat_violation(m: Model | Frame) -> tuple | None:
     """First witness against compatibility of the agent relations with
     composition, or None when the model is compatible."""
-    n = m.n
+    n, compose_i = m.n, m.compose_i
     for agent in sorted(m.classmask):
         masks = m.classmask[agent]
         for r in range(n):
             for s in range(n):
-                rs = m.compose_i(r, s)
+                rs = compose_i(r, s)
                 if rs is None:
                     continue
                 cls = masks[r]
                 for r2 in range(n):
                     if not cls >> r2 & 1:
                         continue
-                    r2s = m.compose_i(r2, s)
+                    r2s = compose_i(r2, s)
                     if r2s is None or not masks[rs] >> r2s & 1:
                         return (agent, r, r2, s)
     return None
@@ -360,6 +429,12 @@ def load_model(source, sig: Signature | None = None) -> tuple[Model, str | None]
     equiv = data.get("equiv", {})
     if not isinstance(equiv, dict) or not all(isinstance(p, list) for p in equiv.values()):
         raise ModelError("equiv must map each agent to a list of pairs")
+    valuation = data.get("valuation", {})
+    if not isinstance(valuation, dict):
+        raise ModelError("valuation must map each atom to a list of worlds")
+    world = data.get("world")
+    if world is not None and not isinstance(world, str):
+        raise ModelError(f"designated world must be a name, got {world!r}")
     if sig is None:
         if "signature" not in data:
             raise ModelError("model file has no embedded signature; pass one explicitly")
@@ -367,22 +442,32 @@ def load_model(source, sig: Signature | None = None) -> tuple[Model, str | None]
         sig = load_signature(data["signature"])
     m = make_model(
         sig,
-        data.get("carrier", []),
-        [tuple(row) for row in data.get("composition", [])],
-        {a: [tuple(p) for p in pairs] for a, pairs in equiv.items()},
-        data.get("valuation", {}),
+        _names(data.get("carrier", []), "carrier"),
+        [_names(row, "a composition row", 3) for row in data.get("composition", [])],
+        {a: [_names(p, "an equiv pair", 2) for p in pairs] for a, pairs in equiv.items()},
+        {atom: _names(ws, f"the valuation of {atom!r}") for atom, ws in valuation.items()},
     )
-    world = data.get("world")
     if world is not None and world not in m.index:
         raise ModelError(f"designated world {world!r} not in carrier")
     return m, world
+
+
+def _names(value, what: str, size: int | None = None) -> tuple:
+    """``value``, a JSON list of world names, as a tuple; a ``ModelError``
+    when it is anything else or, with ``size``, of another length."""
+    if (not isinstance(value, list) or not all(isinstance(w, str) for w in value)
+            or size is not None and len(value) != size):
+        shape = "a list of" if size is None else f"a list of {size}"
+        raise ModelError(f"{what} must be {shape} world names, got {value!r}")
+    return tuple(value)
 
 
 # ---------------------------------------------------------------------------
 # Enumeration
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
+@cache
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of range(n) as restricted-growth strings."""
     out = []
 
@@ -396,14 +481,21 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
             cur.pop()
 
     rec(0, -1, [])
-    return out
+    return tuple(out)
 
 
-def _rgs_to_masks(rgs: tuple[int, ...]) -> list[int]:
+@cache
+def _classes(rgs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple]:
+    """A partition's class bitmask per world, and its generator pairs: the
+    least world of each class paired with each other member, sorted."""
     masks: dict[int, int] = {}
+    first: dict[int, int] = {}
+    pairs = []
     for i, b in enumerate(rgs):
         masks[b] = masks.get(b, 0) | 1 << i
-    return [masks[b] for b in rgs]
+        if first.setdefault(b, i) != i:
+            pairs.append((first[b], i))
+    return tuple(masks[b] for b in rgs), tuple(sorted(pairs))
 
 
 def _perm_rgs(rgs: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -439,47 +531,52 @@ def _perm_mask(mask: int, perm: tuple[int, ...], n: int) -> int:
 
 
 class _AssocChecker:
-    """Incremental Kleene-associativity check over a partially built table."""
+    """Incremental Kleene-associativity check over a partially built table.
 
-    def __init__(self, n: int, unit_i: int, lookup: dict):
-        self.n = n
-        self.unit_i = unit_i
-        self.lookup = lookup  # mutated by the enumerator
+    With commutativity, a product of three worlds a, b, c has three
+    bracketings, a.(b.c), b.(a.c) and c.(a.b).  The table is consistent
+    when, for every such triple, the bracketings the known cells determine
+    agree: all undefined, or all the same world."""
 
-    def get(self, i, j):
-        if i == self.unit_i:
-            return j
-        if j == self.unit_i:
-            return i
-        return self.lookup.get((i, j) if i <= j else (j, i), _UNKNOWN)
+    def __init__(self, n: int, unit_i: int):
+        self.others = [t for t in range(n) if t != unit_i]
+        # tab[i][j] = i.j: a world, None where undefined, or _UNKNOWN
+        self.tab = [[_UNKNOWN] * n for _ in range(n)]
+        for i in range(n):
+            self.tab[unit_i][i] = self.tab[i][unit_i] = i
+        self.cells: dict = {}  # assigned cell (i, j), i <= j -> value
 
-    def consistent(self) -> bool:
-        # With commutativity, a defined triple product forces every
-        # regrouping to be defined and equal; an undefined one forbids all.
-        for a in range(self.n):
-            for b in range(self.n):
-                for c in range(b, self.n):
-                    bc = self.get(b, c)
-                    if bc is _UNKNOWN or bc is None:
-                        continue
-                    abc = self.get(a, bc)
-                    if abc is _UNKNOWN:
-                        continue
-                    for (u, v) in ((b, c), (c, b)):
-                        au = self.get(a, u)
-                        if abc is None:
-                            if au is not _UNKNOWN and au is not None:
-                                auv = self.get(au, v)
-                                if auv is not _UNKNOWN and auv is not None:
-                                    return False
-                        else:
-                            if au is None:
-                                return False
-                            if au is not _UNKNOWN:
-                                auv = self.get(au, v)
-                                if auv is None or (auv is not _UNKNOWN and auv != abc):
-                                    return False
+    def assign(self, x: int, y: int, v: int | None) -> bool:
+        """Set cell (x, y) to ``v``; whether the table stays consistent,
+        given that it was before.  Only triples that look that cell up can
+        break: those containing x and y, and those with a bracketing y.(b.c)
+        where b.c = x, or x.(b.c) where b.c = y."""
+        tab = self.tab
+        tab[x][y] = tab[y][x] = self.cells[(x, y)] = v
+        triples = [(x, y, t) for t in self.others]
+        for (b, c), bc in self.cells.items():
+            if bc == x:
+                triples.append((y, b, c))
+            if bc == y:
+                triples.append((x, b, c))
+        for (a, b, c) in triples:
+            seen = _UNKNOWN
+            for (o, i, j) in ((a, b, c), (b, a, c), (c, a, b)):
+                ij = tab[i][j]
+                if ij is _UNKNOWN:
+                    continue
+                oij = None if ij is None else tab[o][ij]
+                if oij is _UNKNOWN:
+                    continue
+                if seen is _UNKNOWN:
+                    seen = oij
+                elif oij != seen:
+                    return False
         return True
+
+    def clear(self, x: int, y: int) -> None:
+        self.tab[x][y] = self.tab[y][x] = _UNKNOWN
+        del self.cells[(x, y)]
 
 
 def _fresh_names(sig: Signature, k: int) -> list[str]:
@@ -535,8 +632,8 @@ def enumerate_prms(sig: Signature, extra: int) -> Iterator[tuple]:
             mapping[src] = dst
         perms.append(tuple(mapping))
 
-    lookup: dict = {}
-    checker = _AssocChecker(n, unit_i, lookup)
+    checker = _AssocChecker(n, unit_i)
+    lookup = checker.cells
 
     def rec(idx: int):
         if idx == len(cells):
@@ -555,10 +652,9 @@ def enumerate_prms(sig: Signature, extra: int) -> Iterator[tuple]:
                        tuple(stab))
             return
         for v in options[idx]:
-            lookup[cells[idx]] = v
-            if checker.consistent():
+            if checker.assign(*cells[idx], v):
                 yield from rec(idx + 1)
-        del lookup[cells[idx]]
+        checker.clear(*cells[idx])
 
     yield from rec(0)
 
@@ -586,7 +682,9 @@ def enumerate_models(sig: Signature, max_extra: int, atoms: Iterable[str],
                      min_extra: int = 0) -> Iterator[Model]:
     """Stream all models with carrier Res plus up to ``max_extra`` fresh
     worlds, up to permutation of the fresh worlds.  In the compatible logic
-    only compatibility-satisfying models are produced."""
+    only compatibility-satisfying models are produced.  The models of one
+    frame come one after the other and share its ``Frame``; their
+    valuations are made a block of ``BLOCK`` at a time."""
     star = is_star(logic)
     atoms = sorted(set(atoms))
     if estimate_stream(sig, max_extra, atoms) > cap:
@@ -598,42 +696,30 @@ def enumerate_models(sig: Signature, max_extra: int, atoms: Iterable[str],
             n = len(carrier)
             parts = _partitions(n)
             nontrivial_stab = [p for p in stab if p != tuple(range(n))]
+            like = None
             for assignment in product(parts, repeat=len(agents)):
                 if nontrivial_stab:
                     if any(tuple(_perm_rgs(r, p) for r in assignment) < assignment
                            for p in nontrivial_stab):
                         continue
-                classmask = {a: _rgs_to_masks(r) for a, r in zip(agents, assignment)}
-                pre = Model(sig, carrier, comp, classmask, {}, {})
-                if star and star_compat_violation(pre) is not None:
+                classes = [_classes(r) for r in assignment]
+                frame = like = Frame(sig, carrier, comp,
+                                     {a: c[0] for a, c in zip(agents, classes)},
+                                     {a: c[1] for a, c in zip(agents, classes)},
+                                     like)
+                if star and star_compat_violation(frame) is not None:
                     continue
                 stab2 = [p for p in nontrivial_stab
                          if all(_perm_rgs(r, p) == r for r in assignment)]
-                equiv_pairs = _pairs_from_masks(carrier, classmask)
-                partners: dict = {}
-                for masks in product(range(1 << n), repeat=len(atoms)):
-                    if stab2 and any(
-                            tuple(_perm_mask(mk, p, n) for mk in masks) < masks
-                            for p in stab2):
-                        continue
-                    val = dict(zip(atoms, masks))
-                    yield Model(sig, carrier, comp, classmask, val, equiv_pairs,
-                                partners)
-
-
-def _pairs_from_masks(carrier, classmask) -> dict:
-    out = {}
-    for agent, masks in classmask.items():
-        pairs = []
-        seen = set()
-        for i in range(len(carrier)):
-            if i in seen:
-                continue
-            members = [j for j in range(len(carrier)) if masks[i] >> j & 1]
-            seen.update(members)
-            pairs.extend((members[0], j) for j in members[1:])
-        out[agent] = sorted(pairs)
-    return out
+                stream = product(range(1 << n), repeat=len(atoms))
+                if stab2:
+                    stream = (masks for masks in stream if not any(
+                        tuple(_perm_mask(mk, p, n) for mk in masks) < masks
+                        for p in stab2))
+                while chunk := list(islice(stream, BLOCK)):
+                    block = Valuations([dict(zip(atoms, masks)) for masks in chunk])
+                    for col, val in enumerate(block.valuations):
+                        yield Model(frame, val, block, col)
 
 
 def sample_models(sig: Signature, max_extra: int, atoms: Iterable[str],
@@ -670,7 +756,7 @@ def sample_models(sig: Signature, max_extra: int, atoms: Iterable[str],
                         comp[(i, j)] = rng.choice(fresh_i)
                 elif rng.random() < 0.3:
                     comp[(i, j)] = rng.randrange(n)
-        classmask = {}
+        classmask, equiv_pairs = {}, {}
         for a in agents:
             rgs = []
             maxid = -1
@@ -678,10 +764,9 @@ def sample_models(sig: Signature, max_extra: int, atoms: Iterable[str],
                 b = rng.randint(0, maxid + 1)
                 rgs.append(b)
                 maxid = max(maxid, b)
-            classmask[a] = _rgs_to_masks(tuple(rgs))
+            classmask[a], equiv_pairs[a] = _classes(tuple(rgs))
         val = {p: rng.randrange(1 << n) for p in atoms}
-        m = Model(sig, carrier, comp, classmask, val,
-                  _pairs_from_masks(carrier, classmask))
+        m = Model(Frame(sig, carrier, comp, classmask, equiv_pairs), val)
         if validate_model(m, "erl"):
             ok = False
         if ok and star and star_compat_violation(m) is not None:

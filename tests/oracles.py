@@ -1,10 +1,12 @@
 """Independent brute-force oracles the engine implementations are checked
-against.  Everything here is written for clarity, not speed, and shares no
-code path with the modules under test."""
+against.  Everything here is written for clarity, not speed.  The oracles
+share no code path with the modules under test; the two closure checks at
+the end read a closure only through its public queries."""
 
 from itertools import product
 
-from erl.labels import EPSILON, fact_of, lmul, lsub, sublabels
+from erl.labels import (EPSILON, Closure, fact_labels, fact_of, lmul, lsub,
+                        splits_of, sublabels)
 
 
 def naive_closure(constraints, agents, erl_star=False, max_card=8):
@@ -142,3 +144,72 @@ def check_signature_axioms(resources, unit, table):
                 if rs is None or comp(rs, t) != r_st:
                     return False
     return True
+
+
+def derived_rule_check(cl: Closure) -> list[tuple]:
+    """Verify the five derivable rules on every stored fact; returns the
+    violating instances (empty = all hold)."""
+    bad = []
+    for (x, y) in cl.res_facts():
+        for sub in sublabels(x):          # p_l
+            if not cl.has_res(sub, sub):
+                bad.append(("p_l", (x, y), sub))
+        for sub in sublabels(y):          # p_r
+            if not cl.has_res(sub, sub):
+                bad.append(("p_r", (x, y), sub))
+    class_of, classes = cl.classes()
+    linked: set = set()
+    for (u, x, y) in cl.agent_facts():
+        for sub in sublabels(x):          # q_l
+            if not cl.has_res(sub, sub):
+                bad.append(("q_l", (u, x, y), sub))
+        for sub in sublabels(y):          # q_r
+            if not cl.has_res(sub, sub):
+                bad.append(("q_r", (u, x, y), sub))
+        linked.add((u, class_of[x], class_of[y]))
+    # w_a: the agent relation must be a union of products of resource classes
+    for (u, cx, cy) in sorted(linked):
+        for x2 in classes[cx]:
+            for y2 in classes[cy]:
+                if not cl.has_agent(u, x2, y2):
+                    bad.append(("w_a", u, (x2, y2)))
+    return bad
+
+
+def corollary_check(cl: Closure) -> list[tuple]:
+    """Domain/reflexivity equivalences and juxtaposition congruence, the
+    latter restricted to conclusions within the cardinality budget."""
+    bad = []
+    dom = set(cl.domain())
+    for x in dom:
+        if not cl.has_res(x, x):
+            bad.append(("refl_r", x))
+        for u in cl.agents:
+            if not cl.has_agent(u, x, x):
+                bad.append(("refl_a", u, x))
+    for fact in cl.facts():
+        for side in fact_labels(fact):
+            for sub in sublabels(side):
+                if sub not in dom:
+                    bad.append(("domain", fact, sub))
+    cap = cl.effective_card
+    class_of, classes = cl.classes()
+    # juxtaposition congruence, checked once per pair of classes whose
+    # members compose into the domain
+    composed: dict = {}
+    for xy in dom:
+        for (x, y) in splits_of(xy):
+            key = (class_of[x], class_of[y])
+            prev = composed.get(key)
+            if prev is not None and prev != class_of[xy]:
+                bad.append(("juxtaposition-ambiguous", xy, (x, y)))
+            composed[key] = class_of[xy]
+    for (cx, cy), cxy in sorted(composed.items()):
+        for x2 in classes[cx]:
+            for y2 in classes[cy]:
+                if len(x2) + len(y2) > cap:
+                    continue
+                prod = lmul(x2, y2)
+                if class_of.get(prod) != cxy:
+                    bad.append(("juxtaposition", (x2, y2), prod))
+    return bad

@@ -12,10 +12,10 @@ from erl import (Budget, RunConfig, Signature, enumerate_models,
                  satisfies, satisfies_direct, truth_set, valid_in_model,
                  validate_model)
 from erl.models import star_compat_violation
-from erl.labels import Closure, ResEq, AgentEq, label_of, corollary_check, \
-    derived_rule_check
+from erl.labels import Closure, ResEq, AgentEq, label_of
 
 from conftest import random_formula
+from oracles import corollary_check, derived_rule_check
 
 
 def report(num, ok, detail=""):

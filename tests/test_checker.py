@@ -4,10 +4,11 @@ import pytest
 
 from erl import (Atom, Modal, Not, Signature, Top, Unit, CDUAL, C,
                  enumerate_models, expand_duals, find_countermodel,
-                 make_model, parse_formula, satisfies, satisfies_direct,
-                 term_of, truth_set, valid_in_model)
+                 make_model, parse_formula, sample_models, satisfies,
+                 satisfies_direct, term_of, truth_set, valid_in_model)
 from erl.checker import WorldNotInCarrier, explain
-from erl.syntax import MODAL_OPS, UNIVERSAL
+from erl.models import TABLES
+from erl.syntax import MODAL_OPS, UNIVERSAL, atoms_of, subformulas
 
 from conftest import random_formula
 from test_models import paper_countermodel
@@ -153,3 +154,97 @@ def test_modality_partners(op, term):
                     for v in witness.get("partners", [])]
             assert verdict == (all(body) if universal else any(body))
             assert verdict == universal
+
+
+# ---------------------------------------------------------------------------
+# The bulk evaluator against the naive one, world by world
+
+
+def differential_corpus(sig, count, seed):
+    """Seeded formulas over atoms p, q and x that, together, use every
+    connective and all six modalities."""
+    rng = random.Random(seed)
+    corpus = [random_formula(rng, sig, depth=3, atoms=("p", "q", "x"))
+              for _ in range(count)]
+    kinds = {f.op if isinstance(f, Modal) else type(f).__name__
+             for phi in corpus for f in subformulas(phi)}
+    assert kinds >= {"Atom", "Top", "Bot", "Unit", "Not", "And", "Or",
+                     "Implies", "Star", "Wand", *MODAL_OPS}, kinds
+    assert any(Atom("x") in subformulas(phi) for phi in corpus)
+    return corpus
+
+
+def assert_agrees(m, phi):
+    ts = truth_set(m, phi)
+    for w in m.carrier:
+        assert satisfies_direct(m, w, phi) == bool(ts >> m.index[w] & 1), \
+            (m.key(), w, phi)
+
+
+@pytest.mark.parametrize("logic", ["erl", "erl-star"])
+def test_truth_set_matches_direct_on_every_enumerated_model(logic):
+    # x lies outside the enumerated atoms, so it is false everywhere.  Each
+    # model checks one formula, in turn, so every frame's table of every
+    # formula is read at some valuation.
+    sig = Signature.make(["a"], ["e", "s"])
+    corpus = differential_corpus(sig, 40, 23)
+    count = 0
+    for k, m in enumerate(enumerate_models(sig, 2, ["p", "q"], logic)):
+        assert_agrees(m, corpus[k % len(corpus)])
+        count += 1
+    assert count == {"erl": 250_016, "erl-star": 50_384}[logic]
+
+
+def test_truth_set_matches_direct_across_blocks():
+    # Three atoms on three worlds give 512 valuations per frame, more than
+    # one block holds.  Walking the models backwards evaluates each frame's
+    # later block first, then an earlier one, for the same formulas.
+    sig = Signature.make(["a"], ["e"])
+    corpus = differential_corpus(sig, 40, 37)
+    models = list(enumerate_models(sig, 2, ["p", "q", "r"], "erl",
+                                   min_extra=2))
+    blocks = {id(m.frame): set() for m in models}
+    for m in models:
+        blocks[id(m.frame)].add(id(m.block))
+    assert min(map(len, blocks.values())) > 1
+    for k, m in enumerate(reversed(models)):
+        assert_agrees(m, corpus[k % len(corpus)])
+
+
+def test_truth_set_matches_direct_on_sampled_models():
+    sig = Signature.make(["a"], ["e", "s"])
+    corpus = differential_corpus(sig, 40, 29)
+    for m in sample_models(sig, 3, ["p", "q"], "erl", seed=4, count=40):
+        for phi in corpus:
+            assert_agrees(m, phi)
+
+
+def test_find_countermodel_matches_naive_scan():
+    sig = Signature.make(["a"], ["e", "s"])
+    for phi in differential_corpus(sig, 40, 31):
+        naive = next(((m.key(), w)
+                      for m in enumerate_models(sig, 1, atoms_of(phi), "erl")
+                      for w in m.carrier if not satisfies_direct(m, w, phi)),
+                     None)
+        found = find_countermodel(phi, sig, 3, "erl")
+        assert (None if found is None else (found[0].key(), found[1])) == naive
+
+
+def test_dropped_formulas_leave_no_stale_rows():
+    # A formula's id may be reused once the formula is freed; the frame's
+    # tables must not serve the old formula's rows for a new one.  The loop
+    # runs past TABLES formulas, so the frame also drops its tables on the
+    # way, and must hold no more than TABLES of them at any point.
+    sig = Signature.make(["a"], ["e", "s"])
+    m, _ = find_countermodel(parse_formula("p -> [C a; s] p", sig), sig, 3,
+                             "erl")
+    shapes = [Atom("p"), Not(Atom("p")), Top(), Not(Top()), Unit(),
+              Not(Unit())]
+    sizes = []
+    for k in range(TABLES + 300):
+        phi = Not(shapes[k % len(shapes)])
+        assert_agrees(m, phi)
+        sizes.append(len(m.frame.tables))
+        del phi
+    assert max(sizes) == TABLES
+    assert sizes[-1] < TABLES

@@ -64,6 +64,18 @@ def test_check_usage_errors(sig_file, tmp_path, capsys):
                                  "equiv": {"zz": [["e", "r"]]}}))
     code, _ = run(capsys, "check", "--model", str(model), "top", "--at", "e")
     assert code == 65
+    # malformed shapes: each is one error line, never a traceback or a
+    # silent misreading ("er" is not the worlds e and r)
+    for bad in ({"valuation": ["p"]}, {"valuation": {"p": "er"}},
+                {"composition": [["r", "s"]]},
+                {"composition": [["r", "s", "e", "e"]]},
+                {"equiv": {"a": [["e"]]}}, {"carrier": ["e", "r", "s", 3]},
+                {"world": ["e"]}):
+        model.write_text(json.dumps({"signature": SIG,
+                                     "carrier": ["e", "r", "s"], **bad}))
+        code, _ = run(capsys, "check", "--model", str(model), "top",
+                      "--at", "e")
+        assert code == 65, bad
 
 
 def test_string_for_name_list_exit(tmp_path, capsys):

@@ -2,11 +2,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from erl.labels import (AgentEq, Closure, EPSILON, ResEq, corollary_check,
-                        derived_rule_check, fact_str, label, label_of,
-                        label_str, lcontains, lmul, lsub, splits_of, sublabels)
+from erl.labels import (AgentEq, Closure, EPSILON, ResEq, fact_str, label,
+                        label_of, label_str, lcontains, lmul, lsub, splits_of,
+                        sublabels)
 
-from oracles import naive_closure
+from oracles import corollary_check, derived_rule_check, naive_closure
 
 C1, C2, C3, C4 = label("c1"), label("c2"), label("c3"), label("c4")
 LS, LR = label("s"), label("r")
