@@ -34,8 +34,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .syntax import BASE_OF, C, D, Modal, Term
 
@@ -72,7 +71,7 @@ def lam(term: Term) -> Label:
 
 
 def lmul(*labels: Label) -> Label:
-    return tuple(sorted((c for l in labels for c in l), key=const_key))
+    return tuple(sorted(sum(labels, ()), key=const_key))
 
 
 def lcontains(x: Label, y: Label) -> bool:
@@ -99,21 +98,24 @@ def lsub(x: Label, y: Label) -> Label | None:
     return tuple(out)
 
 
-def sublabels(x: Label) -> Iterator[Label]:
+def sublabels(x: Label) -> list[Label]:
     """All sub-multisets of x, including EPSILON and x itself."""
-    counts: dict[str, int] = {}
-    for c in x:
-        counts[c] = counts.get(c, 0) + 1
-    consts = sorted(counts, key=const_key)
-    for take in product(*(range(counts[c] + 1) for c in consts)):
-        yield tuple(c for c, k in zip(consts, take) for _ in range(k))
+    return [left for left, _ in splits_of(x)]
 
 
-def splits_of(x: Label) -> Iterator[tuple[Label, Label]]:
-    """All ordered two-way multiset splits of x."""
-    for left in sublabels(x):
-        right = lsub(x, left)
-        yield (left, right)
+def splits_of(x: Label) -> list[tuple[Label, Label]]:
+    """All ordered two-way multiset splits of x, the multiplicity of the
+    last constant varying fastest."""
+    out = [((), ())]
+    i, n = 0, len(x)
+    while i < n:
+        c, j = x[i], i + 1
+        while j < n and x[j] == c:
+            j += 1
+        out = [(left + (c,) * t, right + (c,) * (j - i - t))
+               for left, right in out for t in range(j - i + 1)]
+        i = j
+    return out
 
 
 def label_str(x: Label) -> str:
@@ -198,12 +200,14 @@ class Closure:
         self.base: list = []
         self.budget_hit = False
         self._max_base_card = 0
+        self._facts = 0                         # sum of squared class sizes
         self._dom: dict[Label, tuple] = {}      # x -> (rule, premises) of x ~ x
         self._root: dict = {u: {} for u in (None, *self.agents)}  # x -> root
         self._members: dict = {u: {} for u in self._root}     # root -> labels
-        self._ext: dict = {u: {} for u in self._root}         # root -> {k: y.k}
+        self._ext: dict = {u: {} for u in self._root}   # root -> {k: y.k}, if any
         self._adj: dict = {u: {} for u in self._root}   # x -> ((y, edge), ...)
         self._queue: deque = deque()            # due c_r/c_a: (kind, x, k, w)
+        self.effective_card = 2 if max_card is None else max_card  # label budget
         self._enter(EPSILON, None)
 
     # -- construction -----------------------------------------------------
@@ -218,28 +222,27 @@ class Closure:
     def add(self, *constraints) -> None:
         """Add base constraints and resume saturation."""
         old = self.effective_card
-        for c in constraints:
+        facts = [fact_of(c) for c in constraints]
+        for fact in facts:
+            self._max_base_card = max(self._max_base_card, *map(len, fact_labels(fact)))
+        self.effective_card = (2 + self._max_base_card if self._max_card_param is None
+                               else max(self._max_card_param, self._max_base_card))
+        for c, fact in zip(constraints, facts):
             self.base.append(c)
-            fact = fact_of(c)
             u = None if fact[0] == "r" else fact[1]
             x, y = fact_labels(fact)
-            self._max_base_card = max(self._max_base_card, len(x), len(y))
             self._enter(x, fact)
             self._enter(y, _fact(u, y, x))
             self._union(u, x, y, fact, "base", ())
         if self.effective_card > old:
             # A larger base label raised the budget: instances suppressed
-            # under the old budget may fit now.
-            self._queue.extend((u, x, k, w) for u, exts in self._ext.items()
-                               for r, ext in exts.items() for k, w in ext.items()
-                               for x in self._members[u][r])
+            # under the old budget may fit now.  They are queued in class
+            # order, which fixes the union order.
+            for u, members in self._members.items():
+                for r, m in members.items():
+                    for k, w in self._ext[u].get(r, {}).items():
+                        self._due(u, m, k, w)
         self._saturate()
-
-    @property
-    def effective_card(self) -> int:
-        floor = self._max_card_param if self._max_card_param is not None \
-            else 2 + self._max_base_card
-        return max(floor, self._max_base_card)
 
     def clone(self) -> "Closure":
         other = Closure.__new__(Closure)
@@ -257,8 +260,7 @@ class Closure:
     # -- queries -----------------------------------------------------------
 
     def __len__(self):
-        return sum(len(m) ** 2 for members in self._members.values()
-                   for m in members.values())
+        return self._facts
 
     def __contains__(self, fact: tuple) -> bool:
         return self.has_res(*fact[1:]) if fact[0] == "r" else self.has_agent(*fact[1:])
@@ -376,25 +378,30 @@ class Closure:
     def _enter(self, x: Label, fact: tuple | None) -> None:
         """Add x, brought in by ``fact`` (x on its left; None for eps), and
         by d_r its sublabels; c_r and c_a fall due on each new label."""
-        if x in self._dom:
+        dom = self._dom
+        if x in dom:
             return
-        self._dom[x] = (("eps", ()) if fact is None else ("k_r", (fact,))
-                        if fact[0] == "a" else ("t_r", (fact, ("r", fact[2], x))))
-        new = [x] + [s for s in sublabels(x) if s not in self._dom]
+        dom[x] = (("eps", ()) if fact is None else ("k_r", (fact,))
+                  if fact[0] == "a" else ("t_r", (fact, ("r", fact[2], x))))
+        roots, members, exts, due = self._root, self._members, self._ext, self._due
+        new = [x] + [s for s in sublabels(x) if s not in dom]
+        self._facts += len(new) * len(roots)
         for s in new:
-            self._dom.setdefault(s, ("d_r", (("r", x, x),)))
-            for u in self._root:
-                self._root[u][s] = s
-                self._members[u][s] = (s,)
-                self._ext[u][s] = {}
-        kinds = tuple(self._root) if self.erl_star else (None,)
+            dom.setdefault(s, ("d_r", (("r", x, x),)))
+            for u, root in roots.items():
+                root[s] = s
+                members[u][s] = (s,)
+        kinds = tuple(roots) if self.erl_star else (None,)
         for w in new:
             for y, k in splits_of(w):
                 for u in kinds if k else ():
-                    r = self._root[u][y]
-                    w1 = self._ext[u][r].setdefault(k, w)
-                    xs = self._members[u][r] if w1 == w else (y,)
-                    self._queue.extend((u, x, k, w1) for x in xs)
+                    r = roots[u][y]
+                    w1 = exts[u].setdefault(r, {}).setdefault(k, w)
+                    if w1 != w:
+                        due(u, (y,), k, w1)
+                    elif len(members[u][r]) > 1:
+                        # y.k = w itself is no news: only y's classmates
+                        due(u, [m for m in members[u][r] if m != y], k, w)
 
     def _union(self, u: str | None, a: Label, b: Label, fact: tuple, rule: str,
                premises: tuple) -> None:
@@ -409,26 +416,38 @@ class Closure:
             ma, mb = members[ra], members.pop(rb)
             root.update(dict.fromkeys(mb, ra))
             members[ra] = ma + mb
+            self._facts += 2 * len(ma) * len(mb)
             adj[a] = adj.get(a, ()) + ((b, edge),)
             adj[b] = adj.get(b, ()) + ((a, edge),)
             # each class's k-extension is due for the other class's members
-            ea, eb = self._ext[v][ra], self._ext[v].pop(rb)
-            due = [(x, k, w) for k, w in ea.items() if k not in eb for x in mb]
+            ea, eb = self._ext[v].setdefault(ra, {}), self._ext[v].pop(rb, {})
+            for k, w in ea.items():
+                if k not in eb:
+                    self._due(v, mb, k, w)
             for k, w in eb.items():
                 w1 = ea.setdefault(k, w)
-                due += [(x, k, w1) for x in (ma if w1 == w else (lsub(w, k),))]
-            self._queue.extend((v,) + d for d in due)
+                self._due(v, ma if w1 == w else (lsub(w, k),), k, w1)
+
+    def _due(self, u: str | None, xs, k: Label, w: Label) -> None:
+        """Queue x.k ~[u] w for x in xs; drop unbuilt and flag those over budget."""
+        room = self.effective_card - len(k)
+        for x in xs:
+            if len(x) > room:
+                self.budget_hit = True
+            else:
+                self._queue.append((u, x, k, w))
 
     def _saturate(self) -> None:
         """Fire due instances: x ~ y (or ~[u]) and w = y.k give x.k ~ w."""
-        while self._queue:
-            u, x, k, w = self._queue.popleft()
+        queue, roots = self._queue, self._root
+        while queue:
+            u, x, k, w = queue.popleft()
             xk = lmul(x, k)
-            if len(xk) > self.effective_card:
-                self.budget_hit = True
-            elif not self._same(u, xk, w):
-                self._enter(xk, _fact(u, xk, w))
-                self._union(u, xk, w, _fact(u, xk, w), "c_r" if u is None else "c_a",
+            root = roots[u]
+            if xk not in root or root[xk] != root[w]:
+                fact = _fact(u, xk, w)
+                self._enter(xk, fact)
+                self._union(u, xk, w, fact, "c_r" if u is None else "c_a",
                             (_fact(u, x, lsub(w, k)), ("r", w, w)))
 
 

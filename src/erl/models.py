@@ -440,9 +440,14 @@ def load_model(source, sig: Signature | None = None) -> tuple[Model, str | None]
             raise ModelError("model file has no embedded signature; pass one explicitly")
         from .syntax import load_signature
         sig = load_signature(data["signature"])
+    if data.get("unit", sig.unit) != sig.unit:
+        raise ModelError(f"model unit {data['unit']!r} is not the signature's unit {sig.unit!r}")
+    carrier = _names(data.get("carrier", []), "carrier")
+    if len(set(carrier)) < len(carrier):
+        raise ModelError(f"carrier lists a world twice: {list(carrier)!r}")
     m = make_model(
         sig,
-        _names(data.get("carrier", []), "carrier"),
+        carrier,
         [_names(row, "a composition row", 3) for row in data.get("composition", [])],
         {a: [_names(p, "an equiv pair", 2) for p in pairs] for a, pairs in equiv.items()},
         {atom: _names(ws, f"the valuation of {atom!r}") for atom, ws in valuation.items()},

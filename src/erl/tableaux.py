@@ -6,15 +6,17 @@ rules: 13 propositional/multiplicative and 12 modal ones.  Eight rules
 introduce fresh label constants; eight rules carry a side condition on the
 constraint closure and are (re-)instantiated whenever the closure grows.
 
-The search loop runs iterative deepening on the number of fresh constants.
-Within an attempt, a fair scheduler fires non-branching constant-free rules
-first, then additive branching rules, then constant-introducing rules, and
-multiplicative branching rules last, FIFO within each class except that a
-branching instance whose children all close immediately is preferred.  A
-branch closes by one of four conditions; a saturated open branch with a
-trustworthy (budget-clean) closure goes to the Hintikka check and, on
-success, yields a verified countermodel.  Outcomes are three-valued:
-proved, refuted, or unknown with diagnostics.
+The search runs iterative deepening on the number of fresh constants in
+one tableau: the limit rises in place when the next instance needs more
+constants than it allows.  A fair scheduler fires non-branching
+constant-free rules first, then additive branching rules, then
+constant-introducing rules, and multiplicative branching rules last, FIFO
+within each class except that a branching instance whose children all
+close immediately is preferred.  A branch closes by one of four
+conditions; a saturated open branch with a trustworthy (budget-clean)
+closure goes to the Hintikka check and, on success, yields a verified
+countermodel.  Outcomes are three-valued: proved, refuted, or unknown with
+diagnostics.
 """
 
 from __future__ import annotations
@@ -310,8 +312,8 @@ class Branch:
 
     def clone(self, bid: int) -> "Branch":
         other = Branch.__new__(Branch)
-        other.id = bid
-        other.revision = 0
+        other.__dict__.update(self.__dict__)
+        other.id, other.revision = bid, 0
         other.formulas = set(self.formulas)
         other.t_labels = {k: set(v) for k, v in self.t_labels.items()}
         other.f_labels = {k: set(v) for k, v in self.f_labels.items()}
@@ -320,9 +322,6 @@ class Branch:
         other.queued = set(self.queued)
         other.done = set(self.done)
         other.cond_sfs = list(self.cond_sfs)
-        other.closed = self.closed
-        other.starved = self.starved
-        other.hintikka_state = self.hintikka_state
         return other
 
     def snapshot(self, unit: str = "e") -> dict:
@@ -488,39 +487,19 @@ def init_tableau(phi: Formula, sig: Signature, logic: str = "erl",
 
 
 def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> ProofOutcome:
-    """Three-valued proof search: iterative deepening on fresh constants,
-    fair scheduling inside each attempt, verified countermodels on refutation."""
+    """Three-valued proof search: iterative deepening on fresh constants in
+    one tableau, fair scheduling, verified countermodels on refutation.
+
+    The constant limit starts at 1 and rises in place when the scheduler
+    pops an instance it cannot afford.  The run is deterministic and a run
+    at a lower limit is a prefix of one at a higher limit up to its first
+    unaffordable instance, so this gives what restarting at each depth
+    would.  At ``max_constants`` such an instance starves its branch."""
     config = config or RunConfig()
     budget = config.budget
-    depths = list(range(1, budget.max_constants + 1)) if budget.max_constants > 0 \
-        else [0]
-    last = None
-    for depth in depths:
-        # Shallow attempts abort as soon as the constant budget bites: any
-        # proof or saturated open branch reachable at this depth is still
-        # reachable at a deeper one, so only the last attempt runs to
-        # quiescence.
-        outcome = _attempt(phi, sig, config, depth,
-                           abort_on_starve=depth != depths[-1])
-        outcome.depth = depth
-        if outcome.verdict in ("proved", "refuted"):
-            return outcome
-        last = outcome
-        if not outcome.diagnostics.get("starved"):
-            return outcome
-        if outcome.diagnostics.get("steps_exhausted"):
-            return outcome
-    return last
-
-
-def _attempt(phi: Formula, sig: Signature, config: RunConfig, depth: int,
-             abort_on_starve: bool = False) -> ProofOutcome:
     t = Tableau(phi, sig, config.logic,
-                closure_max_card=config.budget.closure_max_card,
-                constant_limit=depth, seed=config.seed)
-    max_steps = config.budget.max_steps
-    refutation = None
-    steps_exhausted = False
+                closure_max_card=budget.closure_max_card,
+                constant_limit=min(1, budget.max_constants), seed=config.seed)
     while True:
         target = None
         for idx, b in enumerate(t.branches):
@@ -529,29 +508,24 @@ def _attempt(phi: Formula, sig: Signature, config: RunConfig, depth: int,
             if b.has_work():
                 target = idx
                 break
-            if b.hintikka_state is None:
-                refutation = _saturated(t, b, config)
-                if refutation is not None:
-                    return refutation
-        if target is None:
-            break
-        if t.applications >= max_steps:
-            steps_exhausted = True
+            if b.hintikka_state is None and (refutation := _saturated(t, b)):
+                return refutation
+        if target is None or t.applications >= budget.max_steps:
             break
         b = t.branches[target]
         ri = b.pop()
         if ri is None:
             continue
+        while not t.can_afford(ri.rule) and t.constant_limit < budget.max_constants:
+            t.constant_limit += 1
         if not t.can_afford(ri.rule):
             b.starved = True
-            if abort_on_starve:
-                break
             continue
         t._apply(target, ri)
-    return _aggregate(t, steps_exhausted)
+    return _aggregate(t, steps_exhausted=target is not None)
 
 
-def _saturated(t: Tableau, b: Branch, config: RunConfig) -> ProofOutcome | None:
+def _saturated(t: Tableau, b: Branch) -> ProofOutcome | None:
     """Handle a branch with no pending work: mark it, or extract and verify
     a countermodel when it is a trustworthy Hintikka branch."""
     if b.starved:
@@ -573,7 +547,7 @@ def _saturated(t: Tableau, b: Branch, config: RunConfig) -> ProofOutcome | None:
         b.hintikka_state = f"extraction-failed: {failure}"
         return None
     b.hintikka_state = "hintikka"
-    return ProofOutcome("refuted", applications=t.applications,
+    return ProofOutcome("refuted", applications=t.applications, depth=t.constant_limit,
                         trace=t.trace, closed_branches=t.closed_log,
                         countermodel=model, world=world,
                         branch=b.snapshot(t.sig.unit),
@@ -583,7 +557,7 @@ def _saturated(t: Tableau, b: Branch, config: RunConfig) -> ProofOutcome | None:
 def _aggregate(t: Tableau, steps_exhausted: bool) -> ProofOutcome:
     open_states = [b.hintikka_state or "open" for b in t.branches if b.closed is None]
     if not open_states and not steps_exhausted:
-        return ProofOutcome("proved", applications=t.applications,
+        return ProofOutcome("proved", applications=t.applications, depth=t.constant_limit,
                             trace=t.trace, closed_branches=t.closed_log)
     diagnostics = {
         "open_branches": len(open_states),
@@ -594,6 +568,6 @@ def _aggregate(t: Tableau, steps_exhausted: bool) -> ProofOutcome:
     }
     if steps_exhausted:
         diagnostics["steps_exhausted"] = True
-    return ProofOutcome("unknown", applications=t.applications,
+    return ProofOutcome("unknown", applications=t.applications, depth=t.constant_limit,
                         trace=t.trace, closed_branches=t.closed_log,
                         diagnostics=diagnostics)

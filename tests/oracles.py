@@ -1,12 +1,16 @@
 """Independent brute-force oracles the engine implementations are checked
 against.  Everything here is written for clarity, not speed.  The oracles
-share no code path with the modules under test; the two closure checks at
-the end read a closure only through its public queries."""
+share no code path with the modules under test, with two exceptions: the
+closure checks ``derived_rule_check`` and ``corollary_check`` read a closure
+through its public queries, and ``restart_prove``, iterative deepening by a
+new tableau per depth that ``prove``'s in-place deepening must match, runs
+on the same ``Tableau`` and outcome helpers."""
 
 from itertools import product
 
 from erl.labels import (EPSILON, Closure, fact_labels, fact_of, lmul, lsub,
                         splits_of, sublabels)
+from erl.tableaux import Tableau, _aggregate, _saturated
 
 
 def naive_closure(constraints, agents, erl_star=False, max_card=8):
@@ -213,3 +217,46 @@ def corollary_check(cl: Closure) -> list[tuple]:
                 if class_of.get(prod) != cxy:
                     bad.append(("juxtaposition", (x2, y2), prod))
     return bad
+
+
+def restart_prove(phi, sig, config):
+    """Iterative deepening by restarts: one attempt per depth, each on a
+    new tableau; a shallow attempt aborts at the first instance it cannot
+    afford, and the last one starves such branches and goes on."""
+    budget = config.budget
+    depths = list(range(1, budget.max_constants + 1)) or [0]
+    for depth in depths:
+        outcome = _attempt(phi, sig, config, depth,
+                           abort_on_starve=depth != depths[-1])
+        if (outcome.verdict != "unknown" or not outcome.diagnostics["starved"]
+                or outcome.diagnostics.get("steps_exhausted")):
+            break
+    return outcome
+
+
+def _attempt(phi, sig, config, depth, abort_on_starve):
+    t = Tableau(phi, sig, config.logic,
+                closure_max_card=config.budget.closure_max_card,
+                constant_limit=depth, seed=config.seed)
+    while True:
+        target = None
+        for idx, b in enumerate(t.branches):
+            if b.closed is not None:
+                continue
+            if b.has_work():
+                target = idx
+                break
+            if b.hintikka_state is None and (refutation := _saturated(t, b)):
+                return refutation
+        if target is None or t.applications >= config.budget.max_steps:
+            return _aggregate(t, steps_exhausted=target is not None)
+        b = t.branches[target]
+        ri = b.pop()
+        if ri is None:
+            continue
+        if not t.can_afford(ri.rule):
+            b.starved = True
+            if abort_on_starve:
+                return _aggregate(t, steps_exhausted=False)
+            continue
+        t._apply(target, ri)

@@ -70,7 +70,10 @@ def test_check_usage_errors(sig_file, tmp_path, capsys):
                 {"composition": [["r", "s"]]},
                 {"composition": [["r", "s", "e", "e"]]},
                 {"equiv": {"a": [["e"]]}}, {"carrier": ["e", "r", "s", 3]},
-                {"world": ["e"]}):
+                {"world": ["e"]},
+                # a unit other than the signature's, a world listed twice
+                {"carrier": ["e", "r", "s", "u"], "unit": "u"},
+                {"carrier": ["e", "r", "s", "r"]}):
         model.write_text(json.dumps({"signature": SIG,
                                      "carrier": ["e", "r", "s"], **bad}))
         code, _ = run(capsys, "check", "--model", str(model), "top",

@@ -194,6 +194,18 @@ def test_derived_rules_hold(seed, star):
     assert cl.replay() == []
 
 
+def test_over_budget_instances_set_budget_hit():
+    # c1 ~ e makes c_r climb c1^n.c2.c3 ~ c2.c3 without end; the instances
+    # past cardinality 3 are dropped unbuilt but still flag the loss
+    cl = close([ResEq(C1, EPSILON), ResEq(lmul(C2, C3), lmul(C2, C3))],
+               max_card=3)
+    assert cl.budget_hit
+    assert len(cl) == len(cl.facts()) == 76
+    assert cl.has_res(lmul(C1, C2, C3), lmul(C2, C3))
+    assert max(map(len, cl.domain())) == 3
+    assert cl.replay() == []
+
+
 def _closure_state(cl):
     facts = cl.facts()
     return (facts, cl.domain(), cl.classes(), cl.budget_hit,

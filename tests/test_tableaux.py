@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from erl import (And, Atom, Budget, Not, RunConfig, Signature, Star,
@@ -231,8 +233,31 @@ def test_proved_shadowed_by_oracle(sig_bbi):
 
 
 def test_trace_json_serializable(sig_a):
-    import json
     phi = parse_formula("[D a; s] p -> [D a; r] [D a; s] p", sig_a)
     out = prove(phi, sig_a, cfg("erl-star"))
     blob = json.dumps(out.to_json(), sort_keys=True)
     assert '"t_a"' in blob
+
+
+@pytest.mark.parametrize("budget", [{}, {"max_constants": 3, "max_steps": 1000}])
+def test_in_place_deepening_is_exact(budget):
+    # raising the constant limit in one tableau gives, byte for byte, what
+    # a new tableau per depth gave; under 3 constants some branches starve
+    # at the last depth, and one run there exhausts its steps
+    from oracles import restart_prove
+    from test_acceptance import _regression_set
+    from test_soundness import corpus
+    cases = [(parse_formula(text, sig), sig, logic)
+             for text, sig, logic in _regression_set()]
+    sig, formulas = corpus()
+    cases += [(phi, sig, logic) for phi, logic in formulas[:100]]
+    depths = set()
+    for phi, sig, logic in cases:
+        config = cfg(logic, **budget)
+        out = prove(phi, sig, config)
+        assert len(out.trace) == out.applications
+        assert (json.dumps(out.to_json(), sort_keys=True)
+                == json.dumps(restart_prove(phi, sig, config).to_json(),
+                              sort_keys=True)), (phi, logic)
+        depths.add(out.depth)
+    assert {1, 2, config.budget.max_constants} <= depths
