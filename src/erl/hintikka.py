@@ -7,8 +7,9 @@ composition is juxtaposition of class representatives where the product
 stays in the domain, the agent relations and the valuation are read off
 the stored constraints and the signed atoms.  Representatives prefer
 lambda images: a class containing the image of a resource is named by that
-resource, ties broken by name order with a warning (the calculus never
-promises at most one image per class).
+resource, ties broken by name order, the unit first, with a warning (the
+calculus never promises at most one image per class; a resource r with
+r ~ e has the unit's image in normal form).
 
 Conditions 1-4 say that the branch is open; condition i + 5 says that the
 rule ``tableaux.RULES[i]`` is saturated on it.  Rule instances range over
@@ -19,6 +20,7 @@ be meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .checker import satisfies
 from .closing import branch_witness, describe_closure_witness
@@ -54,12 +56,18 @@ def is_hintikka(formulas, closure: Closure, sig: Signature):
     # 5-29: saturation, condition 5 + i for rule RULES[i].  Collect everything
     # and report the lowest-numbered violated condition (deterministically,
     # sets have no stable order).
+    # labels compare in normal form, as in the closure
+    nf = closure.nf
+    normal_forms = {(f.sign, f.formula, nf(f.label)) for f in formulas}
+
+    def on_branch(f):
+        return (f.sign, f.formula, nf(f.label)) in normal_forms
     found = []
     for sf in formulas:
         rule = rule_for(sf)
         if rule is None:
             continue
-        unmet = _unmet_instances(rule, sf, formulas, closure)
+        unmet = _unmet_instances(rule, sf, on_branch, closure)
         if unmet is not None:
             data = {"formula": format_formula(sf.formula, sig.unit),
                     "label": label_str(sf.label), "rule": rule,
@@ -71,14 +79,14 @@ def is_hintikka(formulas, closure: Closure, sig: Signature):
     return None
 
 
-def _unmet_instances(rule, sf, formulas, closure):
+def _unmet_instances(rule, sf, on_branch, closure):
     """None when the rule of ``sf`` is saturated, else the instances that
     fail it.  An instance is met when some child of the rule applied with it
-    is on the branch: its formulas in ``formulas``, its constraints in the
-    closure.  A rule that introduces fresh constants needs one met instance;
-    any other rule needs every instance met."""
+    is on the branch: its formulas pass ``on_branch``, its constraints are in
+    the closure.  A rule that introduces fresh constants needs one met
+    instance; any other rule needs every instance met."""
     def met(inst):
-        return any(all(c in formulas for c in sfs)
+        return any(all(map(on_branch, sfs))
                    and all(fact_of(c) in closure for c in constraints)
                    for (sfs, constraints) in expand(rule, sf, inst))
 
@@ -96,13 +104,14 @@ def _unmet_instances(rule, sf, formulas, closure):
 @dataclass
 class EquivalenceIndex:
     classes: list                      # list of sorted label lists
-    class_of: dict                     # label -> class position
+    class_of: dict                     # normal-form label -> class position
     rep_label: dict                    # class position -> representative label
     world_name: dict                   # class position -> world name
+    nf: Callable                       # the closure's label normal form
     warnings: list = field(default_factory=list)
 
     def world_of(self, x) -> str:
-        return self.world_name[self.class_of[x]]
+        return self.world_name[self.class_of[self.nf(x)]]
 
 
 def build_index(closure: Closure, sig: Signature) -> EquivalenceIndex:
@@ -110,11 +119,12 @@ def build_index(closure: Closure, sig: Signature) -> EquivalenceIndex:
     rep_label: dict = {}
     world_name: dict = {}
     warnings: list = []
-    lam_names = {}
+    lam_names: dict = {}                # normal form -> resources with that image
     for r in sig.resources:
-        lam_names[lam_of_resource(r, sig)] = r
+        lam_names.setdefault(closure.nf(lam_of_resource(r, sig)), []).append(r)
     for pos, members in enumerate(classes):
-        images = sorted(lam_names[m] for m in members if m in lam_names)
+        images = sorted((r for m in members for r in lam_names.get(m, ())),
+                        key=lambda r: (r != sig.unit, r))
         if images:
             if len(images) > 1:
                 warnings.append(
@@ -125,7 +135,8 @@ def build_index(closure: Closure, sig: Signature) -> EquivalenceIndex:
         else:
             rep_label[pos] = members[0]
             world_name[pos] = label_str(members[0])
-    return EquivalenceIndex(classes, class_of, rep_label, world_name, warnings)
+    return EquivalenceIndex(classes, class_of, rep_label, world_name, closure.nf,
+                            warnings)
 
 
 def lam_of_resource(r: str, sig: Signature):
@@ -186,7 +197,7 @@ def _extract(formulas, closure, sig, designated):
     model = make_model(sig, carrier, triples, equiv,
                        {a: sorted(ws) for a, ws in valuation.items()})
     world = None
-    if designated is not None and designated in index.class_of:
+    if designated is not None and closure.nf(designated) in index.class_of:
         world = index.world_of(designated)
     return model, world, index.warnings
 

@@ -26,6 +26,14 @@ and, when the compatible variant of the logic is selected,
 Saturation is budgeted by a maximum label cardinality: rule instances whose
 conclusion exceeds the budget are suppressed and a flag records the loss of
 completeness.  Every fact has a replayable derivation, built on demand.
+
+The closure is kept modulo the unit class.  Let U be the constants c with
+c ~ eps, and nf(x) the label x with the constants of U dropped.  nf is a
+monoid homomorphism that maps every rule instance to an instance, and
+x ~ nf(x) follows for each x of the domain by c_r from c ~ eps; so x ~ y
+holds iff nf(x) ~ nf(y) does, and the store holds normal forms only.  The
+budget counts normal-form cardinality, so c ~ eps no longer makes c_r
+climb c^n.k ~ k until the budget is hit.
 """
 
 from __future__ import annotations
@@ -186,10 +194,19 @@ class Closure:
     Nieuwenhuis and Oliveras, RTA 2005).  Only d_r, c_r and c_a fire; the
     steps of the other rules are built from forest paths on demand.
 
+    The store holds labels in normal form only (see the module docstring):
+    every query normalizes its labels first, which costs one truth test
+    while ``units`` is empty.  The first time a union puts a constant c in
+    eps's class, the steps deriving c ~ eps are kept, c joins ``units``, and
+    the store is saturated again from ``base``; a base constraint that is
+    not in normal form enters as its normal form, with kept steps deriving
+    that from it by c_r and t_r.  Other facts about labels outside normal
+    form are derived on demand from c ~ eps the same way.
+
     Queries are sound for any budget; they are complete for every derivation
     whose intermediate labels stay within the cardinality budget.  When an
-    instance is suppressed, ``budget_hit`` is set and the prover treats the
-    branch as undecided rather than trusting saturation.
+    instance is suppressed, ``budget_hit`` is set, and stays set, and the
+    prover treats the branch as undecided rather than trusting saturation.
     """
 
     def __init__(self, agents: Iterable[str], erl_star: bool = False,
@@ -200,6 +217,15 @@ class Closure:
         self.base: list = []
         self.budget_hit = False
         self._max_base_card = 0
+        self.units = frozenset()                # constants c with c ~ eps
+        self._steps: dict = {}                  # kept steps: fact -> (rule, premises)
+        self._steps_owned = True                # False while shared with a clone
+        self._found: list = []                  # constants a union just put in eps's class
+        self.effective_card = 2 if max_card is None else max_card  # label budget
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty the store down to eps ~ eps."""
         self._facts = 0                         # sum of squared class sizes
         self._dom: dict[Label, tuple] = {}      # x -> (rule, premises) of x ~ x
         self._root: dict = {u: {} for u in (None, *self.agents)}  # x -> root
@@ -207,7 +233,6 @@ class Closure:
         self._ext: dict = {u: {} for u in self._root}   # root -> {k: y.k}, if any
         self._adj: dict = {u: {} for u in self._root}   # x -> ((y, edge), ...)
         self._queue: deque = deque()            # due c_r/c_a: (kind, x, k, w)
-        self.effective_card = 2 if max_card is None else max_card  # label budget
         self._enter(EPSILON, None)
 
     # -- construction -----------------------------------------------------
@@ -227,14 +252,11 @@ class Closure:
             self._max_base_card = max(self._max_base_card, *map(len, fact_labels(fact)))
         self.effective_card = (2 + self._max_base_card if self._max_card_param is None
                                else max(self._max_card_param, self._max_base_card))
-        for c, fact in zip(constraints, facts):
-            self.base.append(c)
-            u = None if fact[0] == "r" else fact[1]
-            x, y = fact_labels(fact)
-            self._enter(x, fact)
-            self._enter(y, _fact(u, y, x))
-            self._union(u, x, y, fact, "base", ())
-        if self.effective_card > old:
+        self.base.extend(constraints)
+        for fact in facts:
+            if not self._found:
+                self._insert(fact)
+        if self.effective_card > old and not self._found:
             # A larger base label raised the budget: instances suppressed
             # under the old budget may fit now.  They are queued in class
             # order, which fixes the union order.
@@ -243,6 +265,74 @@ class Closure:
                     for k, w in self._ext[u].get(r, {}).items():
                         self._due(u, m, k, w)
         self._saturate()
+
+    def _insert(self, fact: tuple) -> None:
+        """Enter a base fact, in normal form, and join its two labels."""
+        u = None if fact[0] == "r" else fact[1]
+        x, y = fact_labels(fact)
+        rule, premises = "base", ()
+        if self.units and (self.nf(x), self.nf(y)) != (x, y):
+            fact = self._normal_base(u, x, y)
+            x, y = fact_labels(fact)
+            rule, premises = self._steps[fact]
+        self._enter(x, fact)
+        self._enter(y, _fact(u, y, x))
+        self._union(u, x, y, fact, rule, premises)
+
+    def _normal_base(self, u: str | None, a: Label, b: Label) -> tuple:
+        """Keep steps deriving nf(a) ~ nf(b) (or ~[u]) from the base fact
+        a ~ b; returns that fact."""
+        if not self._steps_owned:
+            self._steps = dict(self._steps)
+            self._steps_owned = True
+        steps, base = self._steps, _fact(u, a, b)
+        steps.setdefault(base, ("base", ()))
+        flip = _fact(u, b, a)
+        steps.setdefault(flip, ("s_r" if u is None else "s_a", (base,)))
+        # a ~ a and b ~ b
+        refl = ((("t_r", (base, flip)), ("t_r", (flip, base))) if u is None
+                else (("k_r", (base,)), ("k_r", (flip,))))
+        na, nb = self.nf(a), self.nf(b)
+        fact = base
+        if na != a:
+            down = self._down(a, refl[0])                       # na ~ a
+            up = ("r", a, na)
+            steps.setdefault(up, ("s_r", (down,)))
+            fact = _fact(u, na, b)
+            steps.setdefault(fact, ("t_r", (down, base)) if u is None
+                             else ("k_a", (base, up)))
+        if nb != b:
+            down = self._down(b, refl[1])                       # nb ~ b
+            up = ("r", b, nb)
+            steps.setdefault(up, ("s_r", (down,)))
+            if u is None:
+                steps.setdefault(("r", na, nb), ("t_r", (fact, up)))
+            else:
+                g, h = ("a", u, b, na), ("a", u, nb, na)
+                steps.setdefault(g, ("s_a", (fact,)))
+                steps.setdefault(h, ("k_a", (g, up)))
+                steps.setdefault(("a", u, na, nb), ("s_a", (h,)))
+            fact = _fact(u, na, nb)
+        return fact
+
+    def _down(self, s: Label, refl: tuple) -> tuple:
+        """Keep steps deriving nf(s) ~ s from s ~ s (derived by ``refl``),
+        dropping one unit constant c at a time by c_r from eps ~ c."""
+        steps, top = self._steps, ("r", s, s)
+        steps.setdefault(top, refl)
+        fact, t = top, s                        # fact is t ~ s
+        for c in s:
+            if c not in self.units:
+                continue
+            t1, unit = lsub(t, (c,)), ("r", (c,), EPSILON)
+            steps.setdefault(("r", t, t), ("d_r", (top,)))
+            steps.setdefault(("r", EPSILON, (c,)), ("s_r", (unit,)))
+            drop = ("r", t1, t)
+            steps.setdefault(drop, ("c_r", (("r", EPSILON, (c,)), ("r", t, t))))
+            if t != s:
+                steps.setdefault(("r", t1, s), ("t_r", (drop, fact)))
+            fact, t = ("r", t1, s), t1
+        return fact
 
     def clone(self) -> "Closure":
         other = Closure.__new__(Closure)
@@ -255,9 +345,15 @@ class Closure:
                       for u, d in self._ext.items()}
         other._adj = {u: dict(d) for u, d in self._adj.items()}
         other._queue = deque()
+        self._steps_owned = other._steps_owned = False
         return other
 
     # -- queries -----------------------------------------------------------
+
+    def nf(self, x: Label) -> Label:
+        """The normal form of x: x without the constants of ``units``."""
+        units = self.units
+        return tuple(c for c in x if c not in units) if units else x
 
     def __len__(self):
         return self._facts
@@ -266,10 +362,14 @@ class Closure:
         return self.has_res(*fact[1:]) if fact[0] == "r" else self.has_agent(*fact[1:])
 
     def _class(self, u: str | None, x: Label) -> tuple:
+        if self.units:
+            x = self.nf(x)
         root = self._root.get(u, {})
         return self._members[u][root[x]] if x in root else ()
 
     def _same(self, u: str | None, x: Label, y: Label) -> bool:
+        if self.units:
+            x, y = self.nf(x), self.nf(y)
         root = self._root[u]
         return x in root and root[x] == root.get(y)
 
@@ -281,9 +381,11 @@ class Closure:
 
     def partners_agent(self, u: str, x: Label, suffix: Label | None = None) -> list:
         """Without a suffix: all y with x ~[u] y.  With suffix w: all y such
-        that x ~[u] y.w holds (the y of the modal rule conditions)."""
+        that x ~[u] y.w holds (the y of the modal rule conditions).  The y
+        are in normal form."""
         partners = self._class(u, x)
         if suffix is not None:
+            suffix = self.nf(suffix)
             partners = {lsub(p, suffix) for p in partners} - {None}
         return sorted(partners, key=label_key)
 
@@ -296,16 +398,17 @@ class Closure:
         return {x: pos for pos, m in enumerate(classes) for x in m}, classes
 
     def splits(self, x: Label) -> list:
-        """All ordered pairs (y, z) with x ~ y.z in the closure."""
+        """All ordered pairs (y, z) in normal form with x ~ y.z in the closure."""
         out = {s for w in self._class(None, x) for s in splits_of(w)}
         return sorted(out, key=lambda p: (label_key(p[0]), label_key(p[1])))
 
     def domain(self) -> list:
-        """All sublabels of the labels in facts: the labels x with x ~ x."""
+        """All sublabels of the labels in facts: the labels x with x ~ x, in
+        normal form."""
         return sorted(self._dom, key=label_key)
 
     def in_domain(self, x: Label) -> bool:
-        return x in self._dom
+        return (self.nf(x) if self.units else x) in self._dom
 
     def alphabet(self) -> list:
         return sorted({c for x in self._dom for c in x}, key=const_key)
@@ -324,14 +427,19 @@ class Closure:
 
     def derivation(self, fact: tuple) -> tuple:
         """(rule, premises) of the last step deriving a fact of the closure:
-        from the domain, by r_a, or along the fact's forest path, whose edges
-        are no newer than the fact.  t_r/t_a split off the last edge, s_r/s_a
+        a kept step, a step from facts with fewer unit constants, a step from
+        the domain, by r_a, or along the fact's forest path, whose edges are
+        no newer than the fact.  t_r/t_a split off the last edge, s_r/s_a
         flip an edge, and k_a turns a resource edge into an agent fact."""
         if fact not in self:
             raise KeyError(fact)
         if any(fact_of(c) == fact for c in self.base):
             return ("base", ())
+        if fact in self._steps:
+            return self._steps[fact]
         u, x, y = (None, *fact[1:]) if fact[0] == "r" else fact[1:]
+        if self.units and (step := self._unit_step(u, x, y)):
+            return step
         if x == y:
             return self._dom[x] if u is None else ("r_a", (("r", x, x),))
         path = _forest_path(self._adj[u], x, y)
@@ -344,6 +452,25 @@ class Closure:
         if fact_labels(edge) == (x, y):
             return (rule, premises)
         return ("s_r" if u is None else "s_a", (edge,))
+
+    def _unit_step(self, u: str | None, x: Label, y: Label) -> tuple | None:
+        """The step deriving x ~ y (or ~[u]) from facts with fewer unit
+        constants on the left, or from its flip, when x or y holds one: c_r
+        from c ~ eps gives c.x1 ~ x1, then t_r, r_a or k_a; None for a fact
+        in normal form."""
+        c = next((c for c in x if c in self.units), None)
+        if c is None:
+            if self.nf(y) == y:
+                return None
+            return ("s_r", (("r", y, x),)) if u is None else ("s_a", (("a", u, y, x),))
+        x1 = lsub(x, (c,))
+        if u is not None:
+            if x == y:
+                return ("r_a", (("r", x, x),))
+            return ("k_a", (("a", u, x1, y), ("r", x1, x)))
+        if x1 == y:
+            return ("c_r", (("r", (c,), EPSILON), ("r", x1, x1)))
+        return ("t_r", (("r", x, x1), ("r", x1, y)))
 
     def derivation_chain(self, fact: tuple) -> list[dict]:
         """Topologically ordered derivation trace ending at ``fact``.
@@ -406,19 +533,26 @@ class Closure:
     def _union(self, u: str | None, a: Label, b: Label, fact: tuple, rule: str,
                premises: tuple) -> None:
         """Join a and b on a proof-forest edge in kind u (None: resources,
-        which every agent kind contains)."""
+        which every agent kind contains).  A resource union that puts a
+        constant c in eps's class stops here and leaves c in ``_found``."""
         edge = (fact, rule, premises)
         for v in (u,) if u is not None else self._root:
             members, adj, root = self._members[v], self._adj[v], self._root[v]
             ra, rb = sorted((root[a], root[b]), key=lambda r: -len(members[r]))
             if ra == rb:
                 continue
+            eps = root[EPSILON] if v is None else None
             ma, mb = members[ra], members.pop(rb)
             root.update(dict.fromkeys(mb, ra))
             members[ra] = ma + mb
             self._facts += 2 * len(ma) * len(mb)
             adj[a] = adj.get(a, ()) + ((b, edge),)
             adj[b] = adj.get(b, ()) + ((a, edge),)
+            if eps in (ra, rb):
+                found = [x[0] for x in (mb if eps == ra else ma) if len(x) == 1]
+                if found:
+                    self._found = found
+                    return
             # each class's k-extension is due for the other class's members
             ea, eb = self._ext[v].setdefault(ra, {}), self._ext[v].pop(rb, {})
             for k, w in ea.items():
@@ -440,7 +574,7 @@ class Closure:
     def _saturate(self) -> None:
         """Fire due instances: x ~ y (or ~[u]) and w = y.k give x.k ~ w."""
         queue, roots = self._queue, self._root
-        while queue:
+        while queue and not self._found:
             u, x, k, w = queue.popleft()
             xk = lmul(x, k)
             root = roots[u]
@@ -449,6 +583,27 @@ class Closure:
                 self._enter(xk, fact)
                 self._union(u, xk, w, fact, "c_r" if u is None else "c_a",
                             (_fact(u, x, lsub(w, k)), ("r", w, w)))
+        if self._found:
+            self._renormalize()
+
+    def _renormalize(self) -> None:
+        """Move the constants in ``_found`` to ``units``, keeping the steps
+        that derive c ~ eps for each, and saturate again from ``base``."""
+        steps = dict(self._steps)
+        todo = [("r", (c,), EPSILON) for c in self._found]
+        while todo:
+            fact = todo.pop()
+            if fact not in steps:
+                steps[fact] = step = self.derivation(fact)
+                todo.extend(step[1])
+        self._steps, self._steps_owned = steps, True
+        self.units = self.units.union(self._found)
+        self._found = []
+        self._reset()
+        for c in self.base:
+            if not self._found:
+                self._insert(fact_of(c))
+        self._saturate()
 
 
 def _forest_path(adj: dict, x: Label, y: Label) -> list:

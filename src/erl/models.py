@@ -333,7 +333,9 @@ def validate_model(m: Model, logic: str = "erl") -> list[Violation]:
 
     # Kleene associativity (with commutativity this is definedness-invariance
     # of every three-way product)
-    triple = associativity_witness(range(n), m.compose_i)
+    compose_i = m.compose_i
+    table = [[compose_i(i, j) for j in range(n)] for i in range(n)]
+    triple = associativity_witness(table, range(n), m.unit_i)
     if triple is not None:
         a, b, c = triple
         out.append(Violation(

@@ -145,30 +145,40 @@ def validate_signature(sig: Signature) -> list[Violation]:
             break
 
     # Kleene associativity: r.(s.t) defined forces (r.s).t defined and equal.
-    triple = associativity_witness(sorted(names), sig.compose)
+    # Undeclared names a row mentions index the table too, but are not tried.
+    order = sorted(names) + sorted(
+        {w for (r, s), t in sig.composition.items() for w in (r, s, t)} - names)
+    index = {w: i for i, w in enumerate(order)}
+    table = [[index.get(sig.compose(r, s)) for s in order] for r in order]
+    triple = associativity_witness(table, range(len(names)), index.get(sig.unit))
     if triple is not None:
-        r, s, t = triple
+        r, s, t = (order[i] for i in triple)
         out.append(Violation("Associativity", triple,
                              f"{r}.({s}.{t}) = {sig.compose(r, sig.compose(s, t))} "
                              f"but ({r}.{s}).{t} differs"))
     return out
 
 
-def associativity_witness(elements, compose):
+def associativity_witness(table, elements, unit):
     """The first triple (r, s, t) of ``elements``, in loop order, with
-    r.(s.t) defined but (r.s).t undefined or different; None when
-    ``compose`` (None for undefined) is Kleene associative on them."""
+    r.(s.t) defined but (r.s).t undefined or different; None when the
+    composition is Kleene associative on them.  ``table[i][j]`` is the index
+    of i.j, or None when it is undefined.  The rows of ``unit`` are the
+    identity, so no triple through it is a witness, and none is tried."""
+    elements = [i for i in elements if i != unit]
     for r in elements:
+        row_r = table[r]
         for s in elements:
+            rs, row_s = row_r[s], table[s]
+            row_rs = None if rs is None else table[rs]
             for t in elements:
-                st = compose(s, t)
+                st = row_s[t]
                 if st is None:
                     continue
-                r_st = compose(r, st)
+                r_st = row_r[st]
                 if r_st is None:
                     continue
-                rs = compose(r, s)
-                if rs is None or compose(rs, t) != r_st:
+                if row_rs is None or row_rs[t] != r_st:
                     return (r, s, t)
     return None
 

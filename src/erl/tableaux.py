@@ -15,8 +15,9 @@ within each class except that a branching instance whose children all
 close immediately is preferred.  A branch closes by one of four
 conditions; a saturated open branch with a trustworthy (budget-clean)
 closure goes to the Hintikka check and, on success, yields a verified
-countermodel.  Outcomes are three-valued: proved, refuted, or unknown with
-diagnostics.
+countermodel.  Once a proof is out of reach, branches that can no longer
+refute are pruned (see ``prove``).  Outcomes are three-valued: proved,
+refuted, or unknown with diagnostics.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ def instances(sf: SignedFormula, closure: Closure) -> list[tuple]:
     if isinstance(phi, Star):
         return closure.splits(x)
     if isinstance(phi, Wand):
+        x = closure.nf(x)
         return [(y,) for y in (lsub(w, x) for w in closure.domain())
                 if y is not None]
     if isinstance(phi, Modal):
@@ -229,13 +231,13 @@ class Branch:
             self._enqueue_batch([RuleInstance(rule, sf)], rng)
 
     def add_constraints(self, constraints: Iterable, rng=None) -> None:
-        before = len(self.closure)
+        before = len(self.closure), self.closure.units
         cs = list(constraints)
         if not cs:
             return
         self.closure.add(*cs)
         self.revision += 1
-        if len(self.closure) != before:
+        if (len(self.closure), self.closure.units) != before:
             self.refresh_conditions(rng)
             if self.closed is None:
                 self.recheck_closed()
@@ -494,22 +496,33 @@ def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> Proo
     pops an instance it cannot afford.  The run is deterministic and a run
     at a lower limit is a prefix of one at a higher limit up to its first
     unaffordable instance, so this gives what restarting at each depth
-    would.  At ``max_constants`` such an instance starves its branch."""
+    would.  At ``max_constants`` such an instance starves its branch.
+
+    Once the scan meets an open branch with no work left that did not
+    refute, that branch stays open, so the formula cannot be proved.  From
+    then on an open branch that is starved or has hit its closure budget is
+    pruned, never expanded again: its flags never reset, so it can never
+    yield a verified refutation either.  The search goes on with the other
+    branches, for a refutation or ``unknown``."""
     config = config or RunConfig()
     budget = config.budget
     t = Tableau(phi, sig, config.logic,
                 closure_max_card=budget.closure_max_card,
                 constant_limit=min(1, budget.max_constants), seed=config.seed)
+    hopeless = False            # an open branch is out of work: no proof
     while True:
         target = None
         for idx, b in enumerate(t.branches):
             if b.closed is not None:
                 continue
             if b.has_work():
-                target = idx
-                break
-            if b.hintikka_state is None and (refutation := _saturated(t, b)):
+                if not (hopeless and (b.starved or b.closure.budget_hit)):
+                    target = idx
+                    break
+                b.hintikka_state = "pruned"
+            elif b.hintikka_state is None and (refutation := _saturated(t, b)):
                 return refutation
+            hopeless = True
         if target is None or t.applications >= budget.max_steps:
             break
         b = t.branches[target]

@@ -238,16 +238,22 @@ def _attempt(phi, sig, config, depth, abort_on_starve):
     t = Tableau(phi, sig, config.logic,
                 closure_max_card=config.budget.closure_max_card,
                 constant_limit=depth, seed=config.seed)
+    hopeless = False
     while True:
         target = None
         for idx, b in enumerate(t.branches):
             if b.closed is not None:
                 continue
             if b.has_work():
-                target = idx
-                break
-            if b.hintikka_state is None and (refutation := _saturated(t, b)):
+                # once no proof is possible, starved and budget-hit branches
+                # are pruned, as in prove
+                if not (hopeless and (b.starved or b.closure.budget_hit)):
+                    target = idx
+                    break
+                b.hintikka_state = "pruned"
+            elif b.hintikka_state is None and (refutation := _saturated(t, b)):
                 return refutation
+            hopeless = True
         if target is None or t.applications >= config.budget.max_steps:
             return _aggregate(t, steps_exhausted=target is not None)
         b = t.branches[target]

@@ -142,6 +142,17 @@ def test_rho_prefers_resource_images():
     assert index.warnings
 
 
+def test_unit_class_keeps_the_unit_name():
+    # s ~ e puts s in the unit class: its image is the unit's in normal
+    # form, and the class is still named by the unit, with a warning
+    sig = Signature.make(["a"], ["r", "s", "u"], unit="u")
+    closure = Closure.close([ResEq(LS, ())], ["a"])
+    assert closure.units == {"s"}
+    index = build_index(closure, sig)
+    assert index.world_of(()) == index.world_of(LS) == "u"
+    assert index.warnings
+
+
 def test_extract_requires_hintikka():
     sig = sig_rs()
     closure = Closure.close([ResEq(C1, C1)], ["a"])

@@ -2,9 +2,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from erl.labels import (AgentEq, Closure, EPSILON, ResEq, fact_str, label,
-                        label_of, label_str, lcontains, lmul, lsub, splits_of,
-                        sublabels)
+from erl.labels import (AgentEq, Closure, EPSILON, ResEq, _replay_step,
+                        fact_str, label, label_of, label_str, lcontains, lmul,
+                        lsub, splits_of, sublabels)
 
 from oracles import corollary_check, derived_rule_check, naive_closure
 
@@ -166,10 +166,86 @@ def _random_constraints(rng, n_agents=1):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.booleans())
 def test_closure_matches_naive_oracle(seed, star):
+    # the store is the closure of the base in normal form, and it holds,
+    # modulo the unit class, every fact of the closure of the base itself
     cs, agents = _random_constraints(random.Random(seed))
     cl = Closure.close(cs, agents, erl_star=star, max_card=3)
-    naive = naive_closure(cs, agents, erl_star=star, max_card=cl.effective_card)
+    normal = [_normal(cl, c) for c in cs]
+    naive = naive_closure(normal, agents, erl_star=star, max_card=cl.effective_card)
     assert set(cl.facts()) == naive
+    raw = naive_closure(cs, agents, erl_star=star, max_card=cl.effective_card)
+    for fact in raw - naive:        # outside normal form: derived on demand
+        _replays(cl, fact)
+    # each unit constant is derived from the base, so the normal form is sound
+    for c in cl.units:
+        _replays(cl, ("r", (c,), EPSILON))
+    assert cl.replay() == []
+
+
+def _normal(cl, c):
+    if isinstance(c, ResEq):
+        return ResEq(cl.nf(c.left), cl.nf(c.right))
+    return AgentEq(c.agent, cl.nf(c.left), cl.nf(c.right))
+
+
+def _replays(cl, fact):
+    """Every step of the derivation of ``fact`` replays, and its chain is
+    finite and ordered; returns the chain's length."""
+    todo, seen = [fact], set()
+    while todo:
+        f = todo.pop()
+        if f not in seen:
+            seen.add(f)
+            rule, premises = cl.derivation(f)
+            assert _replay_step(cl, rule, premises, f), (f, rule, premises)
+            todo.extend(premises)
+    chain = cl.derivation_chain(fact)
+    assert chain[-1]["conclusion"] == fact_str(fact)
+    for i, step in enumerate(chain):
+        assert all(p < i for p in step["premises"])
+    return len(chain)
+
+
+def test_unit_class_normal_form():
+    # c1 ~ e: c1 drops out of every label, and c_r no longer climbs
+    # c1^n.c2.c3 ~ c2.c3 up to the budget
+    cs = [ResEq(C1, EPSILON), ResEq(lmul(C2, C3), lmul(C2, C3)),
+          AgentEq("u", lmul(C1, C2), C4)]
+    cl = close(cs, max_card=3)
+    assert cl.units == {"c1"} and not cl.budget_hit
+    assert cl.domain() == [EPSILON, C2, C3, C4, lmul(C2, C3)]
+    assert cl.has_res(lmul(C1, C1, C2, C3), lmul(C2, C3))
+    assert cl.has_agent("u", C2, lmul(C1, C4))
+    assert cl.in_domain(lmul(C1, C1, C1, C2))
+    assert cl.partners_agent("u", lmul(C1, C2)) == [C2, C4]
+    assert cl.partners_agent("u", C2, suffix=lmul(C1, C4)) == [EPSILON]
+    assert (EPSILON, lmul(C2, C3)) in cl.splits(lmul(C1, C2, C3))
+    assert cl.replay() == []
+    for fact in [("r", lmul(C1, C1, C2, C3), lmul(C2, C3)),
+                 ("r", lmul(C1, C2), lmul(C1, C1, C2)),
+                 ("a", "u", lmul(C1, C4), lmul(C1, C2)),
+                 ("a", "u", lmul(C1, C2), C4),
+                 ("r", EPSILON, C1)]:
+        _replays(cl, fact)
+
+
+def test_unit_found_during_saturation():
+    # c2 ~ e follows only from c2 ~ c3 and c3 ~ e, and c2.c3.c4 ~ c1 enters
+    # before it: the store is saturated again in normal form, and each base
+    # fact outside normal form keeps a derivation of its normal form
+    cl = close([ResEq(lmul(C2, C3, C4), C1), ResEq(lmul(C1, C2), C4),
+                AgentEq("u", lmul(C2, C2), C1), ResEq(C2, C3)],
+               erl_star=True, max_card=4)
+    assert not cl.units
+    copy = cl.clone()
+    cl.add(ResEq(C3, EPSILON))
+    assert cl.units == {"c2", "c3"} and not copy.units
+    assert cl.has_res(C1, C4) and cl.has_agent("u", EPSILON, C1)
+    assert not copy.has_res(C1, C4)
+    assert cl.replay() == [] and copy.replay() == []
+    for fact in [("r", C1, C4), ("r", lmul(C1, C2), C4), ("r", C2, EPSILON),
+                 ("a", "u", lmul(C2, C2), C4), ("a", "u", C4, lmul(C1, C3))]:
+        _replays(cl, fact)
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,11 +253,12 @@ def test_closure_matches_naive_oracle(seed, star):
 def test_closure_monotone(seed):
     rng = random.Random(seed)
     cs, agents = _random_constraints(rng)
+    # a larger closure may hold a fact in a shorter normal form
     small = Closure.close(cs[:-1], agents, max_card=4)
     big = Closure.close(cs, agents, max_card=4)
-    assert set(small.facts()) <= set(big.facts())
+    assert all(f in big for f in small.facts())
     wider = Closure.close(cs, agents, max_card=6)
-    assert set(big.facts()) <= set(wider.facts())
+    assert all(f in wider for f in big.facts())
 
 
 @settings(max_examples=20, deadline=None)
@@ -192,16 +269,18 @@ def test_derived_rules_hold(seed, star):
     assert derived_rule_check(cl) == []
     assert corollary_check(cl) == []
     assert cl.replay() == []
+    for c in cl.units:
+        _replays(cl, ("r", (c,), EPSILON))
 
 
 def test_over_budget_instances_set_budget_hit():
-    # c1 ~ e makes c_r climb c1^n.c2.c3 ~ c2.c3 without end; the instances
+    # c1 ~ c1.c2 makes c_r climb c1.c2^n ~ c1 without end; the instances
     # past cardinality 3 are dropped unbuilt but still flag the loss
-    cl = close([ResEq(C1, EPSILON), ResEq(lmul(C2, C3), lmul(C2, C3))],
+    cl = close([ResEq(C1, lmul(C1, C2)), ResEq(lmul(C2, C3), lmul(C2, C3))],
                max_card=3)
-    assert cl.budget_hit
-    assert len(cl) == len(cl.facts()) == 76
-    assert cl.has_res(lmul(C1, C2, C3), lmul(C2, C3))
+    assert cl.budget_hit and not cl.units
+    assert len(cl) == len(cl.facts()) == 28
+    assert cl.has_res(lmul(C1, C2, C2), C1)
     assert max(map(len, cl.domain())) == 3
     assert cl.replay() == []
 
@@ -230,16 +309,30 @@ def test_clone_independence():
     assert src.replay() == copy.replay() == []
 
 
+def test_clone_keeps_its_own_unit_steps():
+    # a base fact outside normal form keeps steps in the closure it is added
+    # to; the source of the clone still derives that fact from c1 ~ e
+    src = close([ResEq(C1, EPSILON), ResEq(C2, C2)])
+    fact = ("r", lmul(C1, C2), C2)
+    chain = src.derivation_chain(fact)
+    copy = src.clone()
+    copy.add(ResEq(lmul(C1, C2), C2))
+    assert copy.derivation(fact) == ("base", ())
+    assert src.derivation_chain(fact) == chain
+    _replays(src, fact)
+    assert src.replay() == copy.replay() == []
+
+
 def test_seed27_set_saturates_at_prover_budget():
-    # one 210-label class at the prover's max_card=6
+    # c4 ~ e, c4 ~ c2, c4 ~ c1.c2 and c1.c2 ~ c3 put every constant in the
+    # unit class: the store is eps's class alone, where it used to be one
+    # 210-label class over the budget
     cs, agents = _random_constraints(random.Random(27))
     cl = Closure.close(cs, agents, max_card=6)
-    assert len(cl) == len(cl.facts()) == 88_200
-    assert len(cl.domain()) == 210
-    assert len(cl.classes()[1]) == 1
-    assert cl.budget_hit
-    far = ("a", agents[0], EPSILON, max(cl.domain(), key=len))
-    chain = cl.derivation_chain(far)
-    assert chain[-1]["conclusion"] == fact_str(far)
-    for i, step in enumerate(chain):
-        assert all(p < i for p in step["premises"])
+    assert cl.units == {"c1", "c2", "c3", "c4"}
+    assert len(cl) == len(cl.facts()) == 2
+    assert cl.domain() == [EPSILON]
+    assert not cl.budget_hit
+    assert cl.replay() == []
+    far = ("a", agents[0], EPSILON, label("c1", "c1", "c2", "c3", "c4", "c4"))
+    assert _replays(cl, far) > 1

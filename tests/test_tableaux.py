@@ -261,3 +261,29 @@ def test_in_place_deepening_is_exact(budget):
                               sort_keys=True)), (phi, logic)
         depths.add(out.depth)
     assert {1, 2, config.budget.max_constants} <= depths
+
+
+def test_pruned_branches_end_unknown_early():
+    # F_star used to split budget-hit branches 4,096 times; once one open
+    # branch has saturated no proof is possible, and those are pruned
+    sig = Signature.make(["a"], ["e", "r", "s"])
+    phi = parse_formula("[D a; r.r] (bot * bot) * top", sig)
+    out = prove(phi, sig, cfg("erl-star"))
+    assert out.verdict == "unknown" and out.applications < 100
+    assert "pruned" in out.diagnostics["branch_states"]
+    assert out.diagnostics["closure_budget_hit"]
+
+
+@pytest.mark.parametrize("text,logic", [
+    ("!I", "erl"), ("!I", "erl-star"), ("[D a; e] !I", "erl")])
+def test_unit_class_decides(text, logic):
+    # T I : c adds c ~ e; in normal form c_r has nothing left to climb
+    sig = Signature.make(["a"], ["e", "r", "s"])
+    phi = parse_formula(text, sig)
+    out = prove(phi, sig, cfg(logic))
+    assert out.verdict != "unknown"
+    model = find_countermodel(phi, sig, 4, logic)
+    assert out.refuted == (model is not None)
+    if out.refuted:
+        assert validate_model(out.countermodel, logic) == []
+        assert not satisfies(out.countermodel, out.world, phi)
