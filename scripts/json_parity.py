@@ -1,0 +1,107 @@
+"""Fingerprint the JSON of ``prove`` over the benchmark's formula corpus.
+
+    python scripts/json_parity.py [--root CHECKOUT]
+
+For the first ``COUNT`` formulas of each ``prove-corpus`` stream of
+``perfbench/corpus.py`` at the seeds of ``SEEDS`` (agents a, b, resources
+e, r, s, logics alternating, default ``RunConfig``), prints one line
+
+    seed index verdict sha256
+
+where sha256 is that of ``json.dumps(prove(...).to_json(), sort_keys=True)``.
+Each formula gets ``CAP_S`` seconds of wall time; one that reaches it
+prints ``seed index cap``.
+
+With ``--root`` the listing is made for the checkout holding this script
+and for CHECKOUT (such as the parent commit's), each from its own ``src/``
+and ``perfbench/``; the script then prints only the lines that differ, the
+checkout's line after this one's, then on stderr how many differ and how
+many reached the cap on each side, and exits 1 if any differ.  A formula
+near the cap can differ by timing alone.
+"""
+
+import argparse
+import hashlib
+import json
+import signal
+import subprocess
+import sys
+import tempfile
+from itertools import islice
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SEEDS = (7, 11)
+COUNT = 1500
+CAP_S = 2.0
+
+# Run in a fresh interpreter: put a checkout's packages first on the path,
+# then print the listing with this file's code.
+_CHILD = ("import sys; sys.path[:0] = sys.argv[1:4]; "
+          "import json_parity; json_parity.print_listing()")
+
+
+class Cap(BaseException):
+    """Raised by SIGALRM; a BaseException so the prover cannot swallow it."""
+
+
+def _on_alarm(signum, frame):
+    raise Cap()
+
+
+def print_listing() -> None:
+    """Print the listing for the ``erl`` and ``corpus`` modules on the path."""
+    # imported here, after the caller has put a checkout first on the path
+    from corpus import formula_stream
+    from erl import RunConfig, Signature, parse_formula, prove
+
+    signal.signal(signal.SIGALRM, _on_alarm)
+    sig = Signature.make(["a", "b"], ["e", "r", "s"])
+    for seed in SEEDS:
+        for i, text, logic in islice(formula_stream(seed, sig), COUNT):
+            signal.setitimer(signal.ITIMER_REAL, CAP_S)
+            try:
+                out = prove(parse_formula(text, sig), sig, RunConfig(logic=logic))
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            except Cap:     # the one-shot timer has fired: nothing to cancel
+                print(seed, i, "cap", flush=True)
+                continue
+            blob = json.dumps(out.to_json(), sort_keys=True).encode()
+            print(seed, i, out.verdict, hashlib.sha256(blob).hexdigest(),
+                  flush=True)
+
+
+def listing(root: Path, out=None) -> subprocess.Popen:
+    paths = [str(root / "src"), str(root / "perfbench"), str(HERE)]
+    return subprocess.Popen([sys.executable, "-c", _CHILD, *paths], stdout=out)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--root", type=Path,
+                    help="another checkout to compare against")
+    args = ap.parse_args()
+    if args.root is None:
+        return listing(HERE.parent).wait()
+    # the two listings run side by side, one process each
+    files = [tempfile.TemporaryFile("w+") for _ in range(2)]
+    procs = [listing(root, f) for root, f in zip((HERE.parent, args.root), files)]
+    codes = [p.wait() for p in procs]
+    for f in files:
+        f.seek(0)
+    ours, theirs = [f.read().splitlines() for f in files]
+    if any(codes) or len(ours) != len(theirs):
+        print("a listing failed or was cut short", file=sys.stderr)
+        return 1
+    differ = [(a, b) for a, b in zip(ours, theirs) if a != b]
+    for a, b in differ:
+        print(a)
+        print(b)
+    caps = [sum(line.endswith(" cap") for line in lines) for lines in (ours, theirs)]
+    print(f"{len(differ)} of {len(ours)} lines differ; {caps[0]} and {caps[1]} "
+          f"formulas reached the cap", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,7 +34,7 @@ from .config import ERL
 from .errors import ErlError
 from .models import TABLES, Frame, Model, Valuations, enumerate_models
 from .syntax import (And, Atom, Bot, Formula, Implies, Modal, Not, Or, Star,
-                     Top, Unit, Wand, BASE_OF, C, D, E, UNIVERSAL,
+                     Top, Unit, Wand, BASE_OF, C, D, E, UNIVERSAL, atoms_of,
                      format_formula)
 
 
@@ -327,15 +327,12 @@ def _explain(m: Model, r: int, phi: Formula) -> dict:
 
 
 def find_countermodel(phi: Formula, sig, carrier_bound: int = 4,
-                      logic: str = ERL, cap: int = 10 ** 9,
-                      atoms: set | None = None):
+                      logic: str = ERL):
     """First enumerated model (with carrier up to ``carrier_bound``) and
     world falsifying ``phi``, or None when the bounds are exhausted."""
-    from .syntax import atoms_of
-    if atoms is None:
-        atoms = atoms_of(phi)
     max_extra = max(0, carrier_bound - len(sig.resources))
-    for m in enumerate_models(sig, max_extra, atoms, logic, cap):
+    # bounded by the carrier, not by the estimated length of the stream
+    for m in enumerate_models(sig, max_extra, atoms_of(phi), logic, 10 ** 9):
         ok, world = valid_in_model(m, phi)
         if not ok:
             return (m, world)

@@ -20,7 +20,7 @@ import sys
 from .checker import explain, find_countermodel
 from .config import RunConfig, resolve_config
 from .errors import ConfigError, ErlError
-from .models import load_model, model_to_json
+from .models import load_model, model_to_json, validate_model
 from .scenarios import builtin_scenario, builtin_scenarios, load_scenario, \
     run_scenario, scenario_to_json
 from .syntax import load_signature, parse_formula
@@ -76,7 +76,6 @@ def cmd_check(args, cfg: RunConfig) -> int:
         raise ErlError("no world given: pass --at or embed one in the model file")
     if world not in model.index:
         raise ErlError(f"world {world!r} is not in the carrier")
-    from .models import validate_model
     violations = validate_model(model, cfg.logic)
     if violations:
         raise ErlError("model does not validate: " + "; ".join(map(str, violations)))

@@ -9,16 +9,18 @@ A branch closes when it holds
 
 ``closing_witness`` tests one signed formula against a branch and
 ``branch_witness`` scans a whole branch with it.  Which witness is reported
-when several exist shows in proof traces, so the order of the tests is
-fixed: a new formula is tested against conditions 3, 4, 2, 1; a branch scan
-looks for each condition in turn, 1 to 4.
+when several exist shows in proof traces and Hintikka verdicts, so the order
+of the tests is fixed: a new formula is tested against conditions 3, 4, 2, 1;
+a branch scan looks for each condition in turn, 1 to 4.  Within a condition,
+formulas and labels are tried in the order of the T and F maps given: a
+tableau branch passes its own, the Hintikka check passes sorted ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .labels import EPSILON, label_key, label_str
+from .labels import EPSILON, label_str
 from .syntax import Bot, Formula, Top, Unit, format_formula
 
 T, F = "T", "F"
@@ -40,18 +42,17 @@ _KIND = {2: "F_I", 3: "F_top", 4: "T_bot"}
 
 
 def closing_witness(sign: str, phi: Formula, x, t_map: dict, f_map: dict,
-                    closure, conditions=(3, 4, 2, 1), ordered: bool = False):
+                    closure, conditions=(3, 4, 2, 1)):
     """Witness of the first of ``conditions`` that ``sign phi : x`` meets on
-    a branch whose T and F formulas map to their label sets, else None.
-    Clash partners are tried in set order, or by ``label_key`` if ``ordered``.
+    a branch whose T and F formulas map to their labels, else None.  Clash
+    partners are tried in map order.
 
     Witnesses are ("clash", phi, x, y) with T phi : x and F phi : y, or
     (kind, signed formula) with kind "F_I", "F_top" or "T_bot".
     """
     for n in conditions:
         if n == 1:
-            ys = (f_map if sign == T else t_map).get(phi, ())
-            for y in sorted(ys, key=label_key) if ordered else ys:
+            for y in (f_map if sign == T else t_map).get(phi, ()):
                 a, b = (x, y) if sign == T else (y, x)
                 if closure.has_res(a, b):
                     return ("clash", phi, a, b)
@@ -60,25 +61,19 @@ def closing_witness(sign: str, phi: Formula, x, t_map: dict, f_map: dict,
     return None
 
 
-def branch_witness(t_map: dict, f_map: dict, closure, formula_key=None):
+def branch_witness(t_map: dict, f_map: dict, closure):
     """Witness of the lowest-numbered condition the branch meets, else None.
-    Formulas and labels are tried in map order, or sorted by ``formula_key``
-    and ``label_key`` when ``formula_key`` is given."""
-    ordered = formula_key is not None
-
-    def order(items, key):
-        return sorted(items, key=key) if ordered else items
-
-    for phi in order(t_map, formula_key):
+    Formulas and labels are tried in map order."""
+    for phi, xs in t_map.items():
         if phi not in f_map:
             continue
-        for x in order(t_map[phi], label_key):
-            w = closing_witness(T, phi, x, t_map, f_map, closure, (1,), ordered)
+        for x in xs:
+            w = closing_witness(T, phi, x, t_map, f_map, closure, (1,))
             if w is not None:
                 return w
     for n in (2, 3, 4):
         sign, phi = _SUBJECT[n]
-        for x in order((t_map if sign == T else f_map).get(phi, ()), label_key):
+        for x in (t_map if sign == T else f_map).get(phi, ()):
             w = closing_witness(sign, phi, x, t_map, f_map, closure, (n,))
             if w is not None:
                 return w

@@ -40,7 +40,12 @@ class BudgetTooLarge(ErlError):
 
 
 class NotHintikka(ErlError):
-    """Countermodel extraction was attempted on a non-Hintikka branch."""
+    """Countermodel extraction was attempted on a non-Hintikka branch;
+    ``condition`` is the first condition it violates."""
+
+    def __init__(self, condition: int, witness: dict):
+        super().__init__(f"condition {condition} violated: {witness}")
+        self.condition = condition
 
 
 class StaleInstance(ErlError):

@@ -14,7 +14,12 @@ r ~ e has the unit's image in normal form).
 Conditions 1-4 say that the branch is open; condition i + 5 says that the
 rule ``tableaux.RULES[i]`` is saturated on it.  Rule instances range over
 the closure domain, so the branch must be saturated for the conditions to
-be meaningful.
+be meaningful.  The witness reported for conditions 1-4 is the first one
+``closing.branch_witness`` meets in the maps ``_membership`` builds:
+formulas by their text, labels by ``label_key``.
+
+``extract_model`` checks its branch first; ``prove`` calls it on each
+saturated branch and runs no other check.
 """
 
 from __future__ import annotations
@@ -31,24 +36,29 @@ from .syntax import Atom, Signature, format_formula
 from .tableaux import FRESH_NEED, RULES, expand, instances, rule_for
 
 
-def _membership(formulas):
+def _membership(formulas, unit: str):
+    """The branch's T and F maps, formula -> labels, in the order the
+    closing scan tries them: T formulas by their text (the scan looks F
+    formulas up), and each formula's labels as a list sorted by
+    ``label_key``."""
     t_map: dict = {}
     f_map: dict = {}
     for sf in formulas:
-        target = t_map if sf.sign == "T" else f_map
-        target.setdefault(sf.formula, set()).add(sf.label)
-    return t_map, f_map
+        (t_map if sf.sign == "T" else f_map).setdefault(sf.formula, []).append(sf.label)
+    for labels in [*t_map.values(), *f_map.values()]:
+        labels.sort(key=label_key)
+    order = sorted(t_map, key=lambda phi: format_formula(phi, unit))
+    return {phi: t_map[phi] for phi in order}, f_map
 
 
 def is_hintikka(formulas, closure: Closure, sig: Signature):
     """None when every condition holds; otherwise (condition index, witness)
     for the first violated condition in numeric order."""
     formulas = set(formulas)
-    t_map, f_map = _membership(formulas)
+    t_map, f_map = _membership(formulas, sig.unit)
 
     # 1-4: openness
-    witness = branch_witness(t_map, f_map, closure,
-                             formula_key=lambda f: format_formula(f, sig.unit))
+    witness = branch_witness(t_map, f_map, closure)
     if witness is not None:
         data = describe_closure_witness(witness, sig.unit)
         return (data.pop("condition"), data)
@@ -105,8 +115,7 @@ def _unmet_instances(rule, sf, on_branch, closure):
 class EquivalenceIndex:
     classes: list                      # list of sorted label lists
     class_of: dict                     # normal-form label -> class position
-    rep_label: dict                    # class position -> representative label
-    world_name: dict                   # class position -> world name
+    world_name: list                   # class position -> world name
     nf: Callable                       # the closure's label normal form
     warnings: list = field(default_factory=list)
 
@@ -116,27 +125,20 @@ class EquivalenceIndex:
 
 def build_index(closure: Closure, sig: Signature) -> EquivalenceIndex:
     class_of, classes = closure.classes()
-    rep_label: dict = {}
-    world_name: dict = {}
+    world_name: list = []
     warnings: list = []
     lam_names: dict = {}                # normal form -> resources with that image
     for r in sig.resources:
         lam_names.setdefault(closure.nf(lam_of_resource(r, sig)), []).append(r)
-    for pos, members in enumerate(classes):
+    for members in classes:
         images = sorted((r for m in members for r in lam_names.get(m, ())),
                         key=lambda r: (r != sig.unit, r))
-        if images:
-            if len(images) > 1:
-                warnings.append(
-                    f"class of {label_str(members[0])} contains several resource "
-                    f"images {images}; picking {images[0]}")
-            rep_label[pos] = lam_of_resource(images[0], sig)
-            world_name[pos] = images[0]
-        else:
-            rep_label[pos] = members[0]
-            world_name[pos] = label_str(members[0])
-    return EquivalenceIndex(classes, class_of, rep_label, world_name, closure.nf,
-                            warnings)
+        if len(images) > 1:
+            warnings.append(
+                f"class of {label_str(members[0])} contains several resource "
+                f"images {images}; picking {images[0]}")
+        world_name.append(images[0] if images else label_str(members[0]))
+    return EquivalenceIndex(classes, class_of, world_name, closure.nf, warnings)
 
 
 def lam_of_resource(r: str, sig: Signature):
@@ -150,40 +152,27 @@ def lam_of_resource(r: str, sig: Signature):
 def extract_model(formulas, closure: Closure, sig: Signature,
                   designated=None) -> tuple[Model, str | None, list]:
     """Model induced by a Hintikka branch, the designated world, and any
-    representative-selection warnings.  Precondition: is_hintikka is None."""
+    representative-selection warnings.  The branch is checked first, and
+    ``prove`` relies on this as its one Hintikka check of a saturated
+    branch: a failed check raises NotHintikka with the violated condition."""
     verdict = is_hintikka(formulas, closure, sig)
     if verdict is not None:
-        raise NotHintikka(f"condition {verdict[0]} violated: {verdict[1]}")
-    return _extract(formulas, closure, sig, designated)
-
-
-def _extract(formulas, closure, sig, designated):
+        raise NotHintikka(*verdict)
     index = build_index(closure, sig)
-    dom = set(closure.domain())
-    reps = [index.world_name[pos] for pos in range(len(index.classes))]
+    names = index.world_name
     carrier = sorted(sig.resources)
-    for name in reps:
+    for name in names:
         if name not in carrier:
             carrier.append(name)
 
-    comp = {}
+    # x.y is the class of the first product of their members in the domain
     triples = []
     for xpos, xmembers in enumerate(index.classes):
         for ypos, ymembers in enumerate(index.classes):
-            value = None
-            for xm in xmembers:
-                for ym in ymembers:
-                    prod = lmul(xm, ym)
-                    if prod in dom:
-                        value = index.class_of[prod]
-                        break
-                if value is not None:
-                    break
-            if value is None:
-                continue
-            key = (index.world_name[xpos], index.world_name[ypos])
-            comp[key] = index.world_name[value]
-            triples.append((key[0], key[1], index.world_name[value]))
+            value = next((index.class_of[prod] for xm in xmembers for ym in ymembers
+                          if (prod := lmul(xm, ym)) in index.class_of), None)
+            if value is not None:
+                triples.append((names[xpos], names[ypos], names[value]))
 
     equiv: dict = {a: [] for a in sig.agents}
     for (u, x, y) in closure.agent_facts():

@@ -36,7 +36,8 @@ from typing import Iterable, Iterator
 from .config import is_star
 from .errors import BudgetTooLarge, ModelError
 from .syntax import (BASE_OF, C, D, Modal, Signature, Term, Violation,
-                     associativity_witness, read_json)
+                     associativity_witness, json_names, load_signature,
+                     read_json, signature_to_json)
 
 _UNKNOWN = object()  # unassigned cell sentinel during enumeration
 
@@ -419,7 +420,6 @@ def model_to_json(m: Model, world: str | None = None,
     if world is not None:
         data["world"] = world
     if include_signature:
-        from .syntax import signature_to_json
         data["signature"] = signature_to_json(m.sig)
     return data
 
@@ -440,33 +440,25 @@ def load_model(source, sig: Signature | None = None) -> tuple[Model, str | None]
     if sig is None:
         if "signature" not in data:
             raise ModelError("model file has no embedded signature; pass one explicitly")
-        from .syntax import load_signature
         sig = load_signature(data["signature"])
     if data.get("unit", sig.unit) != sig.unit:
         raise ModelError(f"model unit {data['unit']!r} is not the signature's unit {sig.unit!r}")
-    carrier = _names(data.get("carrier", []), "carrier")
+    carrier = json_names(data.get("carrier", []), "carrier", ModelError)
     if len(set(carrier)) < len(carrier):
         raise ModelError(f"carrier lists a world twice: {list(carrier)!r}")
     m = make_model(
         sig,
         carrier,
-        [_names(row, "a composition row", 3) for row in data.get("composition", [])],
-        {a: [_names(p, "an equiv pair", 2) for p in pairs] for a, pairs in equiv.items()},
-        {atom: _names(ws, f"the valuation of {atom!r}") for atom, ws in valuation.items()},
+        [json_names(row, "a composition row", ModelError, 3)
+         for row in data.get("composition", [])],
+        {a: [json_names(p, "an equiv pair", ModelError, 2) for p in pairs]
+         for a, pairs in equiv.items()},
+        {atom: json_names(ws, f"the valuation of {atom!r}", ModelError)
+         for atom, ws in valuation.items()},
     )
     if world is not None and world not in m.index:
         raise ModelError(f"designated world {world!r} not in carrier")
     return m, world
-
-
-def _names(value, what: str, size: int | None = None) -> tuple:
-    """``value``, a JSON list of world names, as a tuple; a ``ModelError``
-    when it is anything else or, with ``size``, of another length."""
-    if (not isinstance(value, list) or not all(isinstance(w, str) for w in value)
-            or size is not None and len(value) != size):
-        shape = "a list of" if size is None else f"a list of {size}"
-        raise ModelError(f"{what} must be {shape} world names, got {value!r}")
-    return tuple(value)
 
 
 # ---------------------------------------------------------------------------
@@ -729,9 +721,13 @@ def enumerate_models(sig: Signature, max_extra: int, atoms: Iterable[str],
                         yield Model(frame, val, block, col)
 
 
+# random models drawn by sample_models before it gives up on ``count``
+SAMPLE_TRIES = 100_000
+
+
 def sample_models(sig: Signature, max_extra: int, atoms: Iterable[str],
-                  logic: str = "erl", seed: int = 0, count: int = 100,
-                  max_tries: int = 100_000) -> Iterator[Model]:
+                  logic: str = "erl", seed: int = 0,
+                  count: int = 100) -> Iterator[Model]:
     """Seeded random models for property tests beyond the exhaustive range.
     Reports that consume this stream should be labelled as sampled."""
     star = is_star(logic)
@@ -739,7 +735,7 @@ def sample_models(sig: Signature, max_extra: int, atoms: Iterable[str],
     atoms = sorted(set(atoms))
     agents = sorted(sig.agents)
     produced = 0
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         if produced >= count:
             return
         extra = rng.randint(0, max_extra)

@@ -16,10 +16,10 @@ constrain models, so each scenario exhibits a minimal witnessing model
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from .checker import WorldNotInCarrier, satisfies, valid_in_model
-from .config import ERL_STAR
+from .config import ERL, ERL_STAR
 from .errors import ErlError, UnknownAgentError
 from .models import load_model, validate_model
 from .syntax import (Signature, load_signature, parse_formula, read_json,
@@ -178,12 +178,14 @@ def load_scenario(source) -> Scenario:
             raise ErlError(f"scenario file missing field {key!r}")
     if not isinstance(data["models"], dict):
         raise ErlError("'models' must map model names to models")
+    if not all(isinstance(data.get(k, ""), str) for k in ("name", "description")):
+        raise ErlError("'name' and 'description' must be strings")
     sig = load_signature(data["signature"])
-    try:
-        queries = [Query(**q) for q in data.get("queries", [])]
-        replay = [ReplayStep(**r) for r in data.get("replay", [])]
-    except TypeError as exc:
-        raise ErlError(f"malformed query or replay step: {exc}") from None
+    logic = data.get("logic", ERL_STAR)
+    if logic not in (ERL, ERL_STAR):
+        raise ErlError(f"logic must be {ERL!r} or {ERL_STAR!r}, got {logic!r}")
+    queries = [_from_json(Query, q) for q in data.get("queries", [])]
+    replay = [_from_json(ReplayStep, r) for r in data.get("replay", [])]
     for q in queries:
         if q.expect not in _EXPECT:
             raise ErlError(f"query {q.formula!r}: expect must be one of {_EXPECT}")
@@ -192,8 +194,9 @@ def load_scenario(source) -> Scenario:
             raise ErlError(f"no model {step.model!r} in the scenario")
     for step in replay:
         needed = _REPLAY_ARGS.get(step.kind, ())
-        if not isinstance(step.args, dict) or any(k not in step.args for k in needed):
-            raise ErlError(f"replay step {step.kind!r} needs arguments {list(needed)}")
+        if not all(isinstance(step.args.get(k), str) for k in needed):
+            raise ErlError(f"replay step {step.kind!r} needs string arguments "
+                           f"{list(needed)}")
     return Scenario(
         name=data["name"],
         description=data.get("description", ""),
@@ -201,8 +204,27 @@ def load_scenario(source) -> Scenario:
         model_data=data["models"],
         queries=queries,
         replay=replay,
-        logic=data.get("logic", ERL_STAR),
+        logic=logic,
     )
+
+
+# the JSON types of the fields of Query and ReplayStep, by annotation
+_JSON_TYPES = {"str": str, "str | None": (str, type(None)), "dict": dict}
+
+
+def _from_json(cls, data):
+    """``cls(**data)``; an ErlError when a key is unknown or missing or a
+    value has the wrong JSON type."""
+    try:
+        step = cls(**data)
+    except TypeError as exc:
+        raise ErlError(f"malformed query or replay step: {exc}") from None
+    for f in fields(step):
+        value = getattr(step, f.name)
+        if not isinstance(value, _JSON_TYPES[f.type]):
+            raise ErlError(f"{f.name!r} of a query or replay step must be "
+                           f"{f.type}, got {value!r}")
+    return step
 
 
 def scenario_mutations(s: Scenario):

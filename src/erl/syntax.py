@@ -32,6 +32,7 @@ terms are multisets: order is ignored and unit factors are dropped.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
@@ -190,7 +191,7 @@ def read_json(source, error: type[ErlError], lists=()) -> dict:
     try:
         if hasattr(source, "read"):
             source = json.load(source)
-        elif not isinstance(source, dict):
+        elif isinstance(source, (str, os.PathLike)):
             with open(source, "r", encoding="utf-8") as fh:
                 source = json.load(fh)
     except json.JSONDecodeError as exc:
@@ -203,18 +204,32 @@ def read_json(source, error: type[ErlError], lists=()) -> dict:
     return source
 
 
+def json_names(value, what: str, error: type[ErlError],
+               size: int | None = None) -> tuple:
+    """``value``, a JSON list of names, as a tuple; ``error`` when it is
+    anything else or, with ``size``, of another length."""
+    if (not isinstance(value, list) or not all(isinstance(w, str) for w in value)
+            or size is not None and len(value) != size):
+        shape = "a list of" if size is None else f"a list of {size}"
+        raise error(f"{what} must be {shape} names, got {value!r}")
+    return tuple(value)
+
+
 def load_signature(source) -> Signature:
     """Load a signature from a JSON file path, file object, or dict."""
-    data = read_json(source, SignatureError, ("agents", "resources", "composition"))
-    try:
-        sig = Signature.make(
-            data.get("agents", []),
-            data["resources"],
-            data.get("unit", "e"),
-            [tuple(row) for row in data.get("composition", [])],
-        )
-    except KeyError as exc:
-        raise SignatureError(f"signature file missing field {exc}") from exc
+    data = read_json(source, SignatureError, ("composition",))
+    if "resources" not in data:
+        raise SignatureError("signature file missing field 'resources'")
+    unit = data.get("unit", "e")
+    if not isinstance(unit, str):
+        raise SignatureError(f"unit must be a name, got {unit!r}")
+    sig = Signature.make(
+        json_names(data.get("agents", []), "agents", SignatureError),
+        json_names(data["resources"], "resources", SignatureError),
+        unit,
+        [json_names(row, "a composition row", SignatureError, 3)
+         for row in data.get("composition", [])],
+    )
     violations = validate_signature(sig)
     if violations:
         raise SignatureError("invalid signature: " + "; ".join(map(str, violations)))

@@ -30,10 +30,11 @@ from typing import Iterable
 from .closing import (F, T, SignedFormula, branch_witness, closing_witness,
                       describe_closure_witness)
 from .config import RunConfig, is_star
-from .errors import StaleInstance
+from .errors import NotHintikka, StaleInstance
 from .labels import (AgentEq, Closure, EPSILON, ResEq, fact_str, label,
                      label_str, lam, lmul, lsub, fresh_constant_name,
                      modal_partners, modal_source)
+from .models import model_to_json
 from .syntax import (BASE_OF, And, Atom, Bot, Formula, Implies, Modal, Not, Or,
                      Signature, Star, Top, Unit, Wand, C, D, E, CDUAL, DDUAL,
                      EDUAL, UNIVERSAL)
@@ -371,7 +372,6 @@ class ProofOutcome:
                "closed_branches": self.closed_branches,
                "diagnostics": self.diagnostics}
         if self.countermodel is not None:
-            from .models import model_to_json
             out["countermodel"] = model_to_json(self.countermodel, self.world)
             out["world"] = self.world
             out["branch"] = self.branch
@@ -547,31 +547,33 @@ def _saturated(t: Tableau, b: Branch) -> ProofOutcome | None:
     if b.closure.budget_hit:
         b.hintikka_state = "closure-budget"
         return None
-    from . import hintikka
-    verdict = hintikka.is_hintikka(b.formulas, b.closure, t.sig)
-    if verdict is not None:
-        b.hintikka_state = f"violated({verdict[0]})"
+    from . import hintikka      # not at module level: hintikka imports this module
+    try:
+        model, world, warnings = hintikka.extract_model(
+            b.formulas, b.closure, t.sig, designated=label(fresh_constant_name(1)))
+    except NotHintikka as e:
+        b.hintikka_state = f"violated({e.condition})"
         return None
-    model, world, warnings = hintikka.extract_model(
-        b.formulas, b.closure, t.sig, designated=label(fresh_constant_name(1)))
     failure = hintikka.verify_extraction(model, b.formulas, b.closure, t.sig,
                                          logic=t.logic)
     if failure is not None:
         b.hintikka_state = f"extraction-failed: {failure}"
         return None
     b.hintikka_state = "hintikka"
-    return ProofOutcome("refuted", applications=t.applications, depth=t.constant_limit,
-                        trace=t.trace, closed_branches=t.closed_log,
-                        countermodel=model, world=world,
-                        branch=b.snapshot(t.sig.unit),
-                        diagnostics={"warnings": warnings} if warnings else {})
+    return _outcome(t, "refuted", countermodel=model, world=world,
+                    branch=b.snapshot(t.sig.unit),
+                    diagnostics={"warnings": warnings} if warnings else {})
+
+
+def _outcome(t: Tableau, verdict: str, **fields) -> ProofOutcome:
+    return ProofOutcome(verdict, applications=t.applications, depth=t.constant_limit,
+                        trace=t.trace, closed_branches=t.closed_log, **fields)
 
 
 def _aggregate(t: Tableau, steps_exhausted: bool) -> ProofOutcome:
     open_states = [b.hintikka_state or "open" for b in t.branches if b.closed is None]
     if not open_states and not steps_exhausted:
-        return ProofOutcome("proved", applications=t.applications, depth=t.constant_limit,
-                            trace=t.trace, closed_branches=t.closed_log)
+        return _outcome(t, "proved")
     diagnostics = {
         "open_branches": len(open_states),
         "branch_states": sorted(set(open_states)),
@@ -581,6 +583,4 @@ def _aggregate(t: Tableau, steps_exhausted: bool) -> ProofOutcome:
     }
     if steps_exhausted:
         diagnostics["steps_exhausted"] = True
-    return ProofOutcome("unknown", applications=t.applications, depth=t.constant_limit,
-                        trace=t.trace, closed_branches=t.closed_log,
-                        diagnostics=diagnostics)
+    return _outcome(t, "unknown", diagnostics=diagnostics)

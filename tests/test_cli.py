@@ -83,12 +83,20 @@ def test_check_usage_errors(sig_file, tmp_path, capsys):
 
 def test_string_for_name_list_exit(tmp_path, capsys):
     # a string where a list of names belongs is a data error, not a list
-    # of its characters
+    # of its characters (a composition row "rst" is not r.s = t); so is a
+    # name or a row of another JSON type
     sig = tmp_path / "sig.json"
-    sig.write_text(json.dumps({"agents": "ab", "resources": "es"}))
-    code, _ = run(capsys, "prove", "--sig", str(sig), "p -> p",
-                  "--countermodel-out", str(tmp_path / "cm.json"))
-    assert code == 65
+    good = {"agents": ["a"], "resources": ["e", "r", "s", "t"]}
+    for bad in ({"agents": "ab", "resources": "es"},
+                {"resources": ["e", 1]}, {"agents": [["a"]]}, {"unit": 5},
+                {"composition": [["r", "s"]]}, {"composition": [5]},
+                {"composition": ["rst"]}):
+        sig.write_text(json.dumps({**good, **bad}))
+        capsys.readouterr()
+        assert main(["prove", "--sig", str(sig), "p -> p",
+                     "--countermodel-out", str(tmp_path / "cm.json")]) == 65, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"signature": {"resources": ["e", "s"]},
                                  "carrier": "es"}))
@@ -202,6 +210,17 @@ def test_malformed_scenario_exit(tmp_path, capsys):
                                               "right": "nowhere"}}]},
                 {**good, "replay": [{**step, "kind": "equiv",
                                      "args": {"agent": "zz", "left": "e",
+                                              "right": "e"}}]},
+                {**good, "logic": "bogus"}, {**good, "name": 5},
+                {**good, "description": ["x"]},
+                {**good, "queries": [{**query, "formula": 5}]},
+                {**good, "queries": [{**query, "world": ["m"]}]},
+                # 5 is not a model, nor file descriptor 5
+                {**good, "models": {"main": 5}},
+                {**good, "replay": [{**step, "kind": "holds",
+                                     "args": {"formula": 5, "world": "e"}}]},
+                {**good, "replay": [{**step, "kind": "equiv",
+                                     "args": {"agent": ["alpha"], "left": "e",
                                               "right": "e"}}]}]:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(bad))

@@ -6,7 +6,8 @@ from erl.hintikka import (build_index, extract_model, is_hintikka,
                           verify_extraction)
 from erl.labels import AgentEq, Closure, ResEq, label, lmul
 from erl.models import validate_model, star_compat_violation
-from erl.tableaux import RULES, SignedFormula, rule_for
+from erl.tableaux import (RULES, Branch, SignedFormula, Tableau, _saturated,
+                          rule_for)
 
 C1, C2, C3 = label("c1"), label("c2"), label("c3")
 LS, LR = label("s"), label("r")
@@ -52,6 +53,19 @@ def test_missing_reflexive_partner_violates_box_condition():
                 if sf != SignedFormula("T", Atom("p"), lmul(C1, LS))}
     verdict = is_hintikka(formulas, closure, sig)
     assert verdict is not None and verdict[0] == 18
+
+
+def test_saturated_reports_the_violated_condition():
+    # a saturated branch that is not Hintikka is marked with the condition
+    # the extraction's check found, and yields no refutation
+    sig = sig_rs()
+    formulas, closure = paper_branch(sig)
+    t = Tableau(parse_formula("[C a; s] p -> [C a; s] [C a; r] p", sig), sig)
+    b = Branch(0, closure)
+    b.formulas = {sf for sf in formulas
+                  if sf != SignedFormula("T", Atom("p"), lmul(C1, LS))}
+    assert _saturated(t, b) is None
+    assert b.hintikka_state == "violated(18)"
 
 
 def test_clash_is_condition_1():

@@ -287,3 +287,17 @@ def test_unit_class_decides(text, logic):
     if out.refuted:
         assert validate_model(out.countermodel, logic) == []
         assert not satisfies(out.countermodel, out.world, phi)
+
+
+@pytest.mark.parametrize("logic", ["erl", "erl-star"])
+def test_failed_extraction_ends_unknown(logic):
+    # the branch is Hintikka, but the extracted model keeps the signature's
+    # resources r and s as worlds, and they falsify T (I -> I) -* I at e;
+    # with no countermodel at 4 worlds either, unknown is the right verdict
+    sig = Signature.make(["a", "b"], ["e", "r", "s"])
+    phi = parse_formula("((I -> I) -* I) -* !!p", sig)
+    out = prove(phi, sig, cfg(logic))
+    assert out.verdict == "unknown" and out.applications == 9
+    (state,) = out.diagnostics["branch_states"]
+    assert state.startswith("extraction-failed: ")
+    assert find_countermodel(phi, sig, 4, logic) is None
