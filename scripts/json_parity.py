@@ -1,4 +1,5 @@
-"""Fingerprint the JSON of ``prove`` over the benchmark's formula corpus.
+"""Fingerprint the JSON of ``prove`` and of ``find_countermodel`` over the
+benchmark's formula corpus.
 
     python scripts/json_parity.py [--root CHECKOUT]
 
@@ -9,8 +10,16 @@ e, r, s, logics alternating, default ``RunConfig``), prints one line
     seed index verdict sha256
 
 where sha256 is that of ``json.dumps(prove(...).to_json(), sort_keys=True)``.
-Each formula gets ``CAP_S`` seconds of wall time; one that reaches it
-prints ``seed index cap``.
+Then, for the first ``COUNT`` formulas of each ``countermodel-search``
+stream at the same seeds (agent a, resources e, r, s, carrier bound 4,
+logics alternating), prints one line
+
+    search seed index found|none sha256
+
+where sha256 is that of the sorted-key JSON of ``model_to_json(m, world)``
+for the countermodel found, or of ``null``.  Each formula gets ``CAP_S``
+seconds of wall time; one that reaches it prints ``seed index cap`` (or
+``search seed index cap``).
 
 With ``--root`` the listing is made for the checkout holding this script
 and for CHECKOUT (such as the parent commit's), each from its own ``src/``
@@ -49,26 +58,49 @@ def _on_alarm(signum, frame):
     raise Cap()
 
 
+def _capped(fn):
+    """``fn()``, or ``Cap`` once it has run ``CAP_S`` seconds."""
+    signal.setitimer(signal.ITIMER_REAL, CAP_S)
+    try:
+        out = fn()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        return out
+    except Cap:     # the one-shot timer has fired: nothing to cancel
+        return Cap
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
 def print_listing() -> None:
     """Print the listing for the ``erl`` and ``corpus`` modules on the path."""
     # imported here, after the caller has put a checkout first on the path
     from corpus import formula_stream
-    from erl import RunConfig, Signature, parse_formula, prove
+    from erl import (RunConfig, Signature, find_countermodel, model_to_json,
+                     parse_formula, prove)
 
     signal.signal(signal.SIGALRM, _on_alarm)
     sig = Signature.make(["a", "b"], ["e", "r", "s"])
     for seed in SEEDS:
         for i, text, logic in islice(formula_stream(seed, sig), COUNT):
-            signal.setitimer(signal.ITIMER_REAL, CAP_S)
-            try:
-                out = prove(parse_formula(text, sig), sig, RunConfig(logic=logic))
-                signal.setitimer(signal.ITIMER_REAL, 0)
-            except Cap:     # the one-shot timer has fired: nothing to cancel
+            out = _capped(lambda: prove(parse_formula(text, sig), sig,
+                                        RunConfig(logic=logic)))
+            if out is Cap:
                 print(seed, i, "cap", flush=True)
-                continue
-            blob = json.dumps(out.to_json(), sort_keys=True).encode()
-            print(seed, i, out.verdict, hashlib.sha256(blob).hexdigest(),
-                  flush=True)
+            else:
+                print(seed, i, out.verdict, _sha256(out.to_json()), flush=True)
+    sig = Signature.make(["a"], ["e", "r", "s"])
+    for seed in SEEDS:
+        for i, text, logic in islice(formula_stream(seed, sig), COUNT):
+            found = _capped(lambda: find_countermodel(parse_formula(text, sig),
+                                                      sig, 4, logic))
+            if found is Cap:
+                print("search", seed, i, "cap", flush=True)
+            else:
+                print("search", seed, i, "none" if found is None else "found",
+                      _sha256(None if found is None else model_to_json(*found)),
+                      flush=True)
 
 
 def listing(root: Path, out=None) -> subprocess.Popen:

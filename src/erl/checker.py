@@ -11,8 +11,8 @@ modality (``syntax.UNIVERSAL``) holds where all its partners satisfy the
 body, the other three where some partner does.  A table is built once per
 frame and block, for the formula and each subformula, and kept on the
 frame (at most ``models.TABLES`` of them); a model's truth set is its
-column of the table.  ``satisfies``,
-``valid_in_model``, ``explain`` and ``find_countermodel`` read truth sets.
+column of the table.  ``satisfies``, ``valid_in_model`` and ``explain``
+read truth sets; ``find_countermodel`` reads whole tables.
 
 ``satisfies_direct`` evaluates one world at a time, and the dual modalities
 by their direct clauses with definedness guards placed conjunctively (so
@@ -20,19 +20,24 @@ that they agree with the not-base-not reading even where composition is
 undefined).  It exists as an independent cross-check and is deliberately
 naive.
 
-``find_countermodel`` is the brute-force oracle: it walks the model
-enumeration stream and returns the first model and world falsifying the
+``find_countermodel`` is the brute-force oracle: it walks the frames and
+valuation blocks of the enumeration, decides each block at once from the
+formula's table, and returns the first model and world falsifying the
 formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import and_, or_
 
 from .config import ERL
 from .errors import ErlError
-from .models import TABLES, Frame, Model, Valuations, enumerate_models
+# enumerate_models is not called here; it stays importable from this module,
+# where perfbench's tracer patches it
+from .models import (TABLES, Frame, Model, Valuations, enumerate_blocks,
+                     enumerate_models)
 from .syntax import (And, Atom, Bot, Formula, Implies, Modal, Not, Or, Star,
                      Top, Unit, Wand, BASE_OF, C, D, E, UNIVERSAL, atoms_of,
                      format_formula)
@@ -329,11 +334,17 @@ def _explain(m: Model, r: int, phi: Formula) -> dict:
 def find_countermodel(phi: Formula, sig, carrier_bound: int = 4,
                       logic: str = ERL):
     """First enumerated model (with carrier up to ``carrier_bound``) and
-    world falsifying ``phi``, or None when the bounds are exhausted."""
+    world falsifying ``phi``, or None when the bounds are exhausted.  Each
+    step decides a whole block of valuations: the AND of the formula's rows
+    has a bit clear for each countermodel of the block."""
     max_extra = max(0, carrier_bound - len(sig.resources))
-    # bounded by the carrier, not by the estimated length of the stream
-    for m in enumerate_models(sig, max_extra, atoms_of(phi), logic, 10 ** 9):
-        ok, world = valid_in_model(m, phi)
-        if not ok:
-            return (m, world)
+    for frame, block in enumerate_blocks(sig, max_extra, atoms_of(phi), logic):
+        rows = _rows(frame, block, phi)
+        valid = reduce(and_, rows)
+        if valid == block.full:
+            continue
+        col = (~valid & valid + 1).bit_length() - 1    # lowest clear bit
+        world = next(w for w, row in enumerate(rows) if not row >> col & 1)
+        return (Model(frame, block.valuations[col], block, col),
+                frame.carrier[world])
     return None

@@ -150,9 +150,10 @@ def lam_of_resource(r: str, sig: Signature):
 
 
 def extract_model(formulas, closure: Closure, sig: Signature,
-                  designated=None) -> tuple[Model, str | None, list]:
-    """Model induced by a Hintikka branch, the designated world, and any
-    representative-selection warnings.  The branch is checked first, and
+                  designated=None) -> tuple[Model, str | None, EquivalenceIndex]:
+    """Model induced by a Hintikka branch, the designated world, and the
+    index of the closure's classes it was built from (its ``warnings`` are
+    the representative-selection warnings).  The branch is checked first, and
     ``prove`` relies on this as its one Hintikka check of a saturated
     branch: a failed check raises NotHintikka with the violated condition."""
     verdict = is_hintikka(formulas, closure, sig)
@@ -188,22 +189,22 @@ def extract_model(formulas, closure: Closure, sig: Signature,
     world = None
     if designated is not None and closure.nf(designated) in index.class_of:
         world = index.world_of(designated)
-    return model, world, index.warnings
+    return model, world, index
 
 
-def verify_extraction(model: Model, formulas, closure: Closure, sig: Signature,
+def verify_extraction(model: Model, formulas, index: EquivalenceIndex,
                       logic: str = "erl"):
     """None when the extraction is coherent: the model validates and every
-    signed formula of the branch is forced the right way at its world."""
+    signed formula of the branch is forced the right way at its world, read
+    off ``index``, the branch closure's index from ``extract_model``."""
     violations = validate_model(model, logic)
     if violations:
         return {"kind": "invalid-model", "violations": [str(v) for v in violations]}
-    index = build_index(closure, sig)
     for sf in sorted(formulas, key=lambda s: (s.sign, label_key(s.label),
                                               format_formula(s.formula))):
         world = index.world_of(sf.label)
         want = sf.sign == "T"
         if satisfies(model, world, sf.formula) != want:
-            return {"kind": "forcing-failure", "formula": sf.text(sig.unit),
+            return {"kind": "forcing-failure", "formula": sf.text(model.sig.unit),
                     "world": world}
     return None

@@ -16,13 +16,18 @@ block, so one table serves every model of the block.  A ``Model`` is a
 frame, its valuation, and the block and column it sits in; it reads the
 frame's fields through.  ``make_model`` and ``sample_models`` build frames
 with a single valuation.  A model's valuation must not change once it has
-been evaluated: the tables would keep the old one.
+been evaluated: the tables would keep the old one.  Nor may an enumerated
+model's: its dict may be shared (see below).
 
-``enumerate_models`` streams every model over the signature's resources
+``enumerate_blocks`` streams every frame over the signature's resources
 plus a bounded number of fresh worlds, modulo permutations of the fresh
 worlds, using backtracking over composition cells with incremental
-associativity pruning.  All models of one frame share one ``Frame``.  It is
-the ground truth the prover is checked against.
+associativity pruning, each with its blocks of valuations; it is the
+ground truth the prover is checked against.  Within one call, frames with
+as many worlds and the same stabilizer share their block when all their
+valuations fit one, so models of different frames may share one valuation
+dict.  ``enumerate_models`` streams the models of those blocks, one per
+column; all models of one frame share one ``Frame``.
 """
 
 from __future__ import annotations
@@ -676,20 +681,23 @@ def estimate_stream(sig: Signature, max_extra: int, atoms: Iterable[str]) -> int
 DEFAULT_STREAM_CAP = 10 ** 9
 
 
-def enumerate_models(sig: Signature, max_extra: int, atoms: Iterable[str],
+def enumerate_blocks(sig: Signature, max_extra: int, atoms: Iterable[str],
                      logic: str = "erl", cap: int = DEFAULT_STREAM_CAP,
-                     min_extra: int = 0) -> Iterator[Model]:
-    """Stream all models with carrier Res plus up to ``max_extra`` fresh
-    worlds, up to permutation of the fresh worlds.  In the compatible logic
-    only compatibility-satisfying models are produced.  The models of one
-    frame come one after the other and share its ``Frame``; their
-    valuations are made a block of ``BLOCK`` at a time."""
+                     min_extra: int = 0) -> Iterator[tuple[Frame, Valuations]]:
+    """Stream ``(frame, block)`` for every frame with carrier Res plus up to
+    ``max_extra`` fresh worlds, up to permutation of the fresh worlds, and
+    each block of at most ``BLOCK`` of its valuations, in enumeration order.
+    In the compatible logic only compatibility-satisfying frames are
+    produced.  A frame whose valuations fit one block shares that block
+    with every frame of this call with as many worlds and the same
+    stabilizer: the valuation stream depends on nothing else."""
     star = is_star(logic)
     atoms = sorted(set(atoms))
     if estimate_stream(sig, max_extra, atoms) > cap:
         raise BudgetTooLarge(
             f"estimated stream exceeds cap {cap}; restrict worlds or atoms")
     agents = sorted(sig.agents)
+    shared: dict = {}                     # (n, stabilizer) -> [Valuations]
     for extra in range(min_extra, max_extra + 1):
         for carrier, comp, stab in enumerate_prms(sig, extra):
             n = len(carrier)
@@ -710,15 +718,37 @@ def enumerate_models(sig: Signature, max_extra: int, atoms: Iterable[str],
                     continue
                 stab2 = [p for p in nontrivial_stab
                          if all(_perm_rgs(r, p) == r for r in assignment)]
-                stream = product(range(1 << n), repeat=len(atoms))
-                if stab2:
-                    stream = (masks for masks in stream if not any(
-                        tuple(_perm_mask(mk, p, n) for mk in masks) < masks
-                        for p in stab2))
-                while chunk := list(islice(stream, BLOCK)):
-                    block = Valuations([dict(zip(atoms, masks)) for masks in chunk])
-                    for col, val in enumerate(block.valuations):
-                        yield Model(frame, val, block, col)
+                key = (n, tuple(stab2))
+                blocks = shared.get(key)
+                if blocks is None:
+                    blocks = _valuation_blocks(atoms, n, stab2)
+                    if 1 << n * len(atoms) <= BLOCK:
+                        blocks = shared[key] = list(blocks)
+                for block in blocks:
+                    yield frame, block
+
+
+def _valuation_blocks(atoms: list, n: int, stab: list) -> Iterator[Valuations]:
+    """The valuations of ``atoms`` over n worlds that are least in their
+    orbit under ``stab``, a block of ``BLOCK`` at a time."""
+    stream = product(range(1 << n), repeat=len(atoms))
+    if stab:
+        stream = (masks for masks in stream if not any(
+            tuple(_perm_mask(mk, p, n) for mk in masks) < masks
+            for p in stab))
+    while chunk := list(islice(stream, BLOCK)):
+        yield Valuations([dict(zip(atoms, masks)) for masks in chunk])
+
+
+def enumerate_models(sig: Signature, max_extra: int, atoms: Iterable[str],
+                     logic: str = "erl", cap: int = DEFAULT_STREAM_CAP,
+                     min_extra: int = 0) -> Iterator[Model]:
+    """Stream every model of ``enumerate_blocks``: the models of one frame
+    come one after the other and share its ``Frame``."""
+    for frame, block in enumerate_blocks(sig, max_extra, atoms, logic, cap,
+                                         min_extra):
+        for col, val in enumerate(block.valuations):
+            yield Model(frame, val, block, col)
 
 
 # random models drawn by sample_models before it gives up on ``count``

@@ -549,20 +549,19 @@ def _saturated(t: Tableau, b: Branch) -> ProofOutcome | None:
         return None
     from . import hintikka      # not at module level: hintikka imports this module
     try:
-        model, world, warnings = hintikka.extract_model(
+        model, world, index = hintikka.extract_model(
             b.formulas, b.closure, t.sig, designated=label(fresh_constant_name(1)))
     except NotHintikka as e:
         b.hintikka_state = f"violated({e.condition})"
         return None
-    failure = hintikka.verify_extraction(model, b.formulas, b.closure, t.sig,
-                                         logic=t.logic)
+    failure = hintikka.verify_extraction(model, b.formulas, index, logic=t.logic)
     if failure is not None:
         b.hintikka_state = f"extraction-failed: {failure}"
         return None
     b.hintikka_state = "hintikka"
     return _outcome(t, "refuted", countermodel=model, world=world,
                     branch=b.snapshot(t.sig.unit),
-                    diagnostics={"warnings": warnings} if warnings else {})
+                    diagnostics={"warnings": index.warnings} if index.warnings else {})
 
 
 def _outcome(t: Tableau, verdict: str, **fields) -> ProofOutcome:

@@ -112,9 +112,10 @@ def test_criterion_2_worked_countermodel():
     assert out.world == "c1" and not satisfies(m, "c1", phi)
     # independent re-verification of the branch forcing
     from test_hintikka import paper_branch
-    from erl.hintikka import verify_extraction
+    from erl.hintikka import build_index, verify_extraction
     formulas, closure = paper_branch(SIG_RS)
-    assert verify_extraction(m, formulas, closure, SIG_RS, "erl") is None
+    assert verify_extraction(m, formulas, build_index(closure, SIG_RS),
+                             "erl") is None
     report(2, True, f"refuted in {elapsed:.3f}s; eight worlds; table, agent "
                     f"pairs and valuation reproduced (V(p) also carries the "
                     f"reflexive partner c1.s)")

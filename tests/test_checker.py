@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -220,14 +221,31 @@ def test_truth_set_matches_direct_on_sampled_models():
 
 
 def test_find_countermodel_matches_naive_scan():
-    sig = Signature.make(["a"], ["e", "s"])
-    for phi in differential_corpus(sig, 40, 31):
-        naive = next(((m.key(), w)
-                      for m in enumerate_models(sig, 1, atoms_of(phi), "erl")
-                      for w in m.carrier if not satisfies_direct(m, w, phi)),
-                     None)
-        found = find_countermodel(phi, sig, 3, "erl")
-        assert (None if found is None else (found[0].key(), found[1])) == naive
+    # Over resource e alone, bound 3 adds two fresh worlds, whose swap
+    # stabilizes some frames: frames then share valuation blocks under
+    # several keys.  Formulas over all three atoms have up to 512
+    # valuations on three worlds, two blocks per frame, which are streamed:
+    # the first of them is falsified only where p holds at all three
+    # worlds, in a frame's second block; the second is valid.
+    for resources, logic in product([["e", "s"], ["e"]], ["erl", "erl-star"]):
+        sig = Signature.make(["a"], resources)
+        corpus = differential_corpus(sig, 40, 31) + [parse_formula(text, sig) for text in (
+            "p & q & !I & (x | !x) & <C a; e> (p & !q & !I) -> [C a; e] (I -> !p)",
+            "p & q & x -> p",
+            "p & q & x & !I -> [C a; e] (p & q & x | I)")]
+        later_blocks = 0
+        for phi in corpus:
+            naive = next(((m.key(), w)
+                          for m in enumerate_models(sig, 3 - len(resources),
+                                                    atoms_of(phi), logic)
+                          for w in m.carrier if not satisfies_direct(m, w, phi)),
+                         None)
+            found = find_countermodel(phi, sig, 3, logic)
+            assert (None if found is None else (found[0].key(), found[1])) == naive
+            # a frame's first block starts at the empty valuation
+            later_blocks += found is not None and any(
+                found[0].block.valuations[0].values())
+        assert later_blocks, (resources, logic)
 
 
 def test_dropped_formulas_leave_no_stale_rows():

@@ -111,9 +111,9 @@ def test_unsaturated_rule_reports_its_condition(index, sign, text):
 def test_extraction_of_paper_model():
     sig = sig_rs()
     formulas, closure = paper_branch(sig)
-    model, world, warnings = extract_model(formulas, closure, sig,
-                                           designated=C1)
-    assert warnings == []
+    model, world, index = extract_model(formulas, closure, sig,
+                                        designated=C1)
+    assert index.warnings == []
     assert world == "c1"
     assert model.carrier == ("e", "r", "s", "c1", "c2", "c3", "c1.s", "c2.r")
     assert model.compose("s", "c1") == "c1.s"
@@ -127,7 +127,7 @@ def test_extraction_of_paper_model():
     assert sorted(model.mask_worlds(model.atom_mask("p"))) == ["c1.s", "c2"]
     assert validate_model(model, "erl") == []
     assert star_compat_violation(model) is not None
-    assert verify_extraction(model, formulas, closure, sig, "erl") is None
+    assert verify_extraction(model, formulas, index, "erl") is None
 
 
 def test_extraction_minimal_branch():
@@ -179,7 +179,7 @@ def test_extract_requires_hintikka():
 def test_verify_extraction_catches_tampering():
     sig = sig_rs()
     formulas, closure = paper_branch(sig)
-    model, _, _ = extract_model(formulas, closure, sig, designated=C1)
+    model, _, index = extract_model(formulas, closure, sig, designated=C1)
     model.valuation["p"] = 0  # erase the valuation
-    failure = verify_extraction(model, formulas, closure, sig, "erl")
+    failure = verify_extraction(model, formulas, index, "erl")
     assert failure is not None and failure["kind"] == "forcing-failure"

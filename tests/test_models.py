@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from erl import (Signature, enumerate_models, load_model, make_model,
                  model_to_json, sample_models, validate_model)
 from erl.errors import BudgetTooLarge, ModelError
-from erl.models import star_compat_violation
+from erl.models import BLOCK, enumerate_blocks, star_compat_violation
 
 from oracles import count_models_bruteforce
 
@@ -97,6 +98,43 @@ def test_enumerate_all_validate_and_unique():
         seen.add(key)
         assert validate_model(m, "erl") == []
     assert seen
+
+
+@pytest.mark.parametrize("resources,atoms,logic,count,digest", [
+    (["e", "s"], ["p"], "erl", 15896,
+     "8cc453d8a3c3115480b33927902d01c96db2dbe7e4465304c8383930ae57f75a"),
+    (["e"], ["p", "q"], "erl-star", 1564,
+     "9b4abb4a5cc4125ac3fbd3b157928702625ba3f72be358ea606db3c970a64bea"),
+], ids=["erl", "erl-star"])
+def test_enumeration_order_is_pinned(resources, atoms, logic, count, digest):
+    # the digests were taken before valuation blocks were shared among
+    # frames: sharing must not change which models come, nor their order
+    h = hashlib.sha256()
+    n = 0
+    for m in enumerate_models(Signature.make(["a"], resources), 2, atoms, logic):
+        h.update(repr(m.key()).encode() + b"\n")
+        n += 1
+    assert (n, h.hexdigest()) == (count, digest)
+
+
+def test_frames_share_valuation_blocks():
+    # Frames with as many worlds and the same stabilizer share their one
+    # block: over e plus up to two fresh worlds, there is one one-world
+    # frame, and the three-world frames have two stabilizers (with and
+    # without the swap of the fresh worlds).  Three atoms on three worlds
+    # take two blocks per frame, which are not shared.
+    sig = Signature.make(["a"], ["e"])
+    for atoms, shared in ((["p"], {2: 1, 3: 2}), (["p", "q", "x"], {2: 1})):
+        frames = {}                       # id(block) -> (block, its frames)
+        for frame, block in enumerate_blocks(sig, 2, atoms, "erl"):
+            frames.setdefault(id(block), (block, []))[1].append(frame)
+        worlds = {}
+        for block, fs in frames.values():
+            assert len({f.n for f in fs}) == 1
+            if len(fs) > 1:
+                worlds[fs[0].n] = worlds.get(fs[0].n, 0) + 1
+            assert len(block.valuations) <= BLOCK
+        assert worlds == shared, atoms
 
 
 def test_enumerate_star_all_compatible():
