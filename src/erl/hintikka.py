@@ -1,15 +1,15 @@
 """Hintikka branches and countermodel extraction.
 
 A saturated open branch satisfying the 29 Hintikka conditions induces a
-finite model: worlds are representatives of the resource-equivalence
-classes of the closure domain (together with the signature's resources),
-composition is juxtaposition of class representatives where the product
-stays in the domain, the agent relations and the valuation are read off
-the stored constraints and the signed atoms.  Representatives prefer
-lambda images: a class containing the image of a resource is named by that
-resource, ties broken by name order, the unit first, with a warning (the
-calculus never promises at most one image per class; a resource r with
-r ~ e has the unit's image in normal form).
+finite model, read straight off the closure in world indices: its worlds
+are the resource classes of the closure domain, together with the
+signature's resources; x.y = w wherever w is a domain label with the split
+x, y; each agent relation is the closure's agent partition, a union of
+resource classes; the valuation comes from the signed atoms.  A class
+holding the image of a resource is named by that resource, ties broken by
+name order, the unit first, with a warning (the calculus never promises at
+most one image per class; a resource r with r ~ e has the unit's image in
+normal form); any other class is named by its least label.
 
 Conditions 1-4 say that the branch is open; condition i + 5 says that the
 rule ``tableaux.RULES[i]`` is saturated on it.  Rule instances range over
@@ -29,9 +29,9 @@ from typing import Callable
 
 from .checker import satisfies
 from .closing import branch_witness, describe_closure_witness
-from .errors import NotHintikka
-from .labels import Closure, EPSILON, fact_of, label_key, label_str, lmul
-from .models import Model, make_model, validate_model
+from .errors import ModelError, NotHintikka
+from .labels import Closure, fact_of, label_key, label_str, splits_of
+from .models import Frame, Model, validate_model
 from .syntax import Atom, Signature, format_formula
 from .tableaux import FRESH_NEED, RULES, expand, instances, rule_for
 
@@ -113,36 +113,43 @@ def _unmet_instances(rule, sf, on_branch, closure):
 
 @dataclass
 class EquivalenceIndex:
-    classes: list                      # list of sorted label lists
-    class_of: dict                     # normal-form label -> class position
-    world_name: list                   # class position -> world name
+    carrier: tuple                     # world names
+    position: dict                     # normal-form domain label -> carrier index
     nf: Callable                       # the closure's label normal form
     warnings: list = field(default_factory=list)
 
     def world_of(self, x) -> str:
-        return self.world_name[self.class_of[self.nf(x)]]
+        return self.carrier[self.position[self.nf(x)]]
 
 
 def build_index(closure: Closure, sig: Signature) -> EquivalenceIndex:
+    """The carrier of the model a branch induces: the signature's resources
+    in name order, then one world per other resource class of the closure
+    domain, in ``Closure.classes`` order, named by its least member.  A
+    class holding the image of a resource is that resource's world; when it
+    holds several, the unit wins, then the least name, with a warning."""
     class_of, classes = closure.classes()
-    world_name: list = []
+    images: dict = {}                   # class position -> resources imaged there
+    for r in sorted(sig.resources, key=lambda r: (r != sig.unit, r)):
+        pos = class_of.get(closure.nf(() if r == sig.unit else (r,)))
+        if pos is not None:
+            images.setdefault(pos, []).append(r)
+    carrier = sorted(sig.resources)
+    position: dict = {}
     warnings: list = []
-    lam_names: dict = {}                # normal form -> resources with that image
-    for r in sig.resources:
-        lam_names.setdefault(closure.nf(lam_of_resource(r, sig)), []).append(r)
-    for members in classes:
-        images = sorted((r for m in members for r in lam_names.get(m, ())),
-                        key=lambda r: (r != sig.unit, r))
-        if len(images) > 1:
-            warnings.append(
-                f"class of {label_str(members[0])} contains several resource "
-                f"images {images}; picking {images[0]}")
-        world_name.append(images[0] if images else label_str(members[0]))
-    return EquivalenceIndex(classes, class_of, world_name, closure.nf, warnings)
-
-
-def lam_of_resource(r: str, sig: Signature):
-    return EPSILON if r == sig.unit else (r,)
+    for pos, members in enumerate(classes):
+        names = images.get(pos)
+        if names is None:
+            world = len(carrier)
+            carrier.append(label_str(members[0]))
+        else:
+            if len(names) > 1:
+                warnings.append(
+                    f"class of {label_str(members[0])} contains several resource "
+                    f"images {names}; picking {names[0]}")
+            world = carrier.index(names[0])
+        position.update(dict.fromkeys(members, world))
+    return EquivalenceIndex(tuple(carrier), position, closure.nf, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -155,39 +162,51 @@ def extract_model(formulas, closure: Closure, sig: Signature,
     index of the closure's classes it was built from (its ``warnings`` are
     the representative-selection warnings).  The branch is checked first, and
     ``prove`` relies on this as its one Hintikka check of a saturated
-    branch: a failed check raises NotHintikka with the violated condition."""
+    branch: a failed check raises NotHintikka with the violated condition.
+    A closure whose products do not give a composition raises ModelError."""
     verdict = is_hintikka(formulas, closure, sig)
     if verdict is not None:
         raise NotHintikka(*verdict)
     index = build_index(closure, sig)
-    names = index.world_name
-    carrier = sorted(sig.resources)
-    for name in names:
-        if name not in carrier:
-            carrier.append(name)
+    carrier, position = index.carrier, index.position
+    n = len(carrier)
+    unit = position[()]
 
-    # x.y is the class of the first product of their members in the domain
-    triples = []
-    for xpos, xmembers in enumerate(index.classes):
-        for ypos, ymembers in enumerate(index.classes):
-            value = next((index.class_of[prod] for xm in xmembers for ym in ymembers
-                          if (prod := lmul(xm, ym)) in index.class_of), None)
-            if value is not None:
-                triples.append((names[xpos], names[ypos], names[value]))
+    # y.z = w for each split of each domain label w; unit rows are implicit
+    comp: dict = {}
+    for w, k in position.items():
+        for y, z in splits_of(w):
+            i, j = position[y], position[z]
+            if unit in (i, j):
+                other = j if i == unit else i
+                if k != other:
+                    raise ModelError(f"unit row {(carrier[i], carrier[j], carrier[k])} "
+                                     f"must map to {carrier[other]}")
+            elif comp.setdefault((i, j) if i <= j else (j, i), k) != k:
+                raise ModelError(f"conflicting composition for {carrier[i]}.{carrier[j]}")
 
-    equiv: dict = {a: [] for a in sig.agents}
-    for (u, x, y) in closure.agent_facts():
-        equiv[u].append((index.world_of(x), index.world_of(y)))
+    # an agent class is a union of resource classes; a world no label
+    # reaches is alone in its class
+    classmask = {u: [1 << i for i in range(n)] for u in sorted(sig.agents)}
+    for u, masks in classmask.items():
+        for x, i in position.items():
+            if masks[i] == 1 << i:
+                worlds = {position[y] for y in closure.partners_agent(u, x)}
+                mask = sum(1 << j for j in worlds)
+                for j in worlds:
+                    masks[j] = mask
+    equiv_pairs = {u: [(i, j) for i in range(n) for j in range(i + 1, n)
+                       if masks[i] >> j & 1] for u, masks in classmask.items()}
 
     valuation: dict = {}
     for sf in formulas:
         if sf.sign == "T" and isinstance(sf.formula, Atom):
-            valuation.setdefault(sf.formula.name, set()).add(index.world_of(sf.label))
+            name = sf.formula.name
+            valuation[name] = valuation.get(name, 0) | 1 << position[closure.nf(sf.label)]
 
-    model = make_model(sig, carrier, triples, equiv,
-                       {a: sorted(ws) for a, ws in valuation.items()})
+    model = Model(Frame(sig, carrier, comp, classmask, equiv_pairs), valuation)
     world = None
-    if designated is not None and closure.nf(designated) in index.class_of:
+    if designated is not None and closure.nf(designated) in position:
         world = index.world_of(designated)
     return model, world, index
 

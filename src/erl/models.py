@@ -760,7 +760,6 @@ def sample_models(sig: Signature, max_extra: int, atoms: Iterable[str],
                   count: int = 100) -> Iterator[Model]:
     """Seeded random models for property tests beyond the exhaustive range.
     Reports that consume this stream should be labelled as sampled."""
-    star = is_star(logic)
     rng = random.Random(seed)
     atoms = sorted(set(atoms))
     agents = sorted(sig.agents)
@@ -776,7 +775,6 @@ def sample_models(sig: Signature, max_extra: int, atoms: Iterable[str],
         unit_i = index[sig.unit]
         fresh_i = [index[w] for w in carrier if w not in sig.resources]
         comp = {}
-        ok = True
         for i in range(n):
             for j in range(i, n):
                 if unit_i in (i, j):
@@ -800,10 +798,6 @@ def sample_models(sig: Signature, max_extra: int, atoms: Iterable[str],
             classmask[a], equiv_pairs[a] = _classes(tuple(rgs))
         val = {p: rng.randrange(1 << n) for p in atoms}
         m = Model(Frame(sig, carrier, comp, classmask, equiv_pairs), val)
-        if validate_model(m, "erl"):
-            ok = False
-        if ok and star and star_compat_violation(m) is not None:
-            ok = False
-        if ok:
+        if not validate_model(m, logic):
             produced += 1
             yield m

@@ -258,10 +258,6 @@ class Term:
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(sorted(self.parts)))
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.parts
-
     def text(self, unit: str = "e") -> str:
         return ".".join(self.parts) if self.parts else unit
 
@@ -409,6 +405,18 @@ _WS = re.compile(r"\s*")
 
 _RESERVED = {"top", "bot", "I"}
 
+# Binary connectives, loosest first.  Each level maps its tokens to their
+# formula classes and gives the levels its left and right operands are
+# printed at, so "->" and "-*" associate to the right and the others to the
+# left; the parser reads the right operand at that level too, and the left
+# one a level tighter.  Negation, modalities and atoms are at level
+# ``_LEVEL_UNARY``.
+_BINARY = (({"->": Implies, "-*": Wand}, 1, 0), ({"|": Or}, 1, 2),
+           ({"&": And}, 2, 3), ({"*": Star}, 3, 4))
+_LEVEL_UNARY = len(_BINARY)
+_BINARY_TEXT = {cls: (tok, level) for level, (ops, _, _) in enumerate(_BINARY)
+                for tok, cls in ops.items()}
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -448,45 +456,23 @@ class _Tokens:
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     toks = _Tokens(text)
-    phi = _parse_imp(toks, sig)
+    phi = _parse_binary(toks, sig)
     if toks.peek() is not None:
         raise ParseError(f"trailing input {toks.peek()!r}", toks.pos())
     return phi
 
 
-def _parse_imp(toks, sig) -> Formula:
-    left = _parse_or(toks, sig)
-    tok = toks.peek()
-    if tok == "->":
+def _parse_binary(toks, sig, level: int = 0) -> Formula:
+    """The formula at the cursor with no connective looser than those of
+    ``_BINARY[level]``; each level costs one stack frame."""
+    ops, _, right_at = _BINARY[level]
+    left = (_parse_binary(toks, sig, level + 1) if level + 1 < _LEVEL_UNARY
+            else _parse_unary(toks, sig))
+    while (cls := ops.get(toks.peek())) is not None:
         toks.next()
-        return Implies(left, _parse_imp(toks, sig))
-    if tok == "-*":
-        toks.next()
-        return Wand(left, _parse_imp(toks, sig))
-    return left
-
-
-def _parse_or(toks, sig) -> Formula:
-    left = _parse_and(toks, sig)
-    while toks.peek() == "|":
-        toks.next()
-        left = Or(left, _parse_and(toks, sig))
-    return left
-
-
-def _parse_and(toks, sig) -> Formula:
-    left = _parse_star(toks, sig)
-    while toks.peek() == "&":
-        toks.next()
-        left = And(left, _parse_star(toks, sig))
-    return left
-
-
-def _parse_star(toks, sig) -> Formula:
-    left = _parse_unary(toks, sig)
-    while toks.peek() == "*":
-        toks.next()
-        left = Star(left, _parse_unary(toks, sig))
+        right = (_parse_binary(toks, sig, right_at) if right_at < _LEVEL_UNARY
+                 else _parse_unary(toks, sig))
+        left = cls(left, right)
     return left
 
 
@@ -501,7 +487,7 @@ def _parse_unary(toks, sig) -> Formula:
         return _parse_modal(toks, sig)
     if tok == "(":
         toks.next()
-        phi = _parse_imp(toks, sig)
+        phi = _parse_binary(toks, sig)
         toks.expect(")")
         return phi
     if tok == "top":
@@ -549,20 +535,15 @@ def _parse_modal(toks, sig) -> Formula:
 # ---------------------------------------------------------------------------
 # Printer (inverse of the parser up to whitespace)
 
-_LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_STAR, _LEVEL_UNARY = range(5)
-
 _MODAL_TEXT = {op: (bracket, letter, "]" if bracket == "[" else ">")
                for (bracket, letter), op in _MODAL_TAG.items()}
 
 
 def format_formula(phi: Formula, unit: str = "e") -> str:
-    return _fmt(phi, _LEVEL_IMP, unit)
+    return _fmt(phi, 0, unit)
 
 
 def _fmt(phi: Formula, level: int, unit: str) -> str:
-    def wrap(text, mine):
-        return f"({text})" if mine < level else text
-
     if isinstance(phi, Atom):
         return phi.name
     if isinstance(phi, Top):
@@ -576,14 +557,9 @@ def _fmt(phi: Formula, level: int, unit: str) -> str:
     if isinstance(phi, Modal):
         o, letter, c = _MODAL_TEXT[phi.op]
         return f"{o}{letter} {phi.agent}; {phi.term.text(unit)}{c} {_fmt(phi.body, _LEVEL_UNARY, unit)}"
-    if isinstance(phi, Implies):
-        return wrap(f"{_fmt(phi.left, _LEVEL_OR, unit)} -> {_fmt(phi.right, _LEVEL_IMP, unit)}", _LEVEL_IMP)
-    if isinstance(phi, Wand):
-        return wrap(f"{_fmt(phi.left, _LEVEL_OR, unit)} -* {_fmt(phi.right, _LEVEL_IMP, unit)}", _LEVEL_IMP)
-    if isinstance(phi, Or):
-        return wrap(f"{_fmt(phi.left, _LEVEL_OR, unit)} | {_fmt(phi.right, _LEVEL_AND, unit)}", _LEVEL_OR)
-    if isinstance(phi, And):
-        return wrap(f"{_fmt(phi.left, _LEVEL_AND, unit)} & {_fmt(phi.right, _LEVEL_STAR, unit)}", _LEVEL_AND)
-    if isinstance(phi, Star):
-        return wrap(f"{_fmt(phi.left, _LEVEL_STAR, unit)} * {_fmt(phi.right, _LEVEL_UNARY, unit)}", _LEVEL_STAR)
-    raise TypeError(f"not a formula: {phi!r}")
+    if type(phi) not in _BINARY_TEXT:
+        raise TypeError(f"not a formula: {phi!r}")
+    tok, mine = _BINARY_TEXT[type(phi)]
+    _, left_at, right_at = _BINARY[mine]
+    text = f"{_fmt(phi.left, left_at, unit)} {tok} {_fmt(phi.right, right_at, unit)}"
+    return f"({text})" if mine < level else text

@@ -1,13 +1,19 @@
+import random
+
 import pytest
 
-from erl import (Atom, Signature, Star, parse_formula)
+from erl import (Atom, RunConfig, Signature, Star, parse_formula, prove)
 from erl.errors import NotHintikka
 from erl.hintikka import (build_index, extract_model, is_hintikka,
                           verify_extraction)
 from erl.labels import AgentEq, Closure, ResEq, label, lmul
-from erl.models import validate_model, star_compat_violation
+from erl.models import (load_model, model_to_json, validate_model,
+                        star_compat_violation)
 from erl.tableaux import (RULES, Branch, SignedFormula, Tableau, _saturated,
                           rule_for)
+
+from conftest import random_formula
+from test_acceptance import _regression_set
 
 C1, C2, C3 = label("c1"), label("c2"), label("c3")
 LS, LR = label("s"), label("r")
@@ -183,3 +189,23 @@ def test_verify_extraction_catches_tampering():
     model.valuation["p"] = 0  # erase the valuation
     failure = verify_extraction(model, formulas, index, "erl")
     assert failure is not None and failure["kind"] == "forcing-failure"
+
+
+def test_extracted_countermodels_load_back_from_json():
+    # each refutation's countermodel, read off the closure, is the model its
+    # JSON loads back to: the equivalence pairs close to the same classes
+    cases = [(parse_formula(text, sig), sig, logic)
+             for text, sig, logic in _regression_set()]
+    # the first 300 formulas of the benchmark's seed-7 prove corpus
+    sig = Signature.make(["a", "b"], ["e", "r", "s"])
+    rng = random.Random(7)
+    cases += [(random_formula(rng, sig, 3), sig, ("erl", "erl-star")[i % 2])
+              for i in range(300)]
+    refuted = 0
+    for phi, sig, logic in cases:
+        out = prove(phi, sig, RunConfig(logic=logic))
+        if out.refuted:
+            refuted += 1
+            model, world = load_model(model_to_json(out.countermodel, out.world))
+            assert (model.key(), world) == (out.countermodel.key(), out.world)
+    assert refuted > 200
