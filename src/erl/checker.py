@@ -193,12 +193,12 @@ def _sd(m: Model, r: int, phi: Formula) -> bool:
         if phi.op == C:
             if rt is None:
                 return True
-            cls = m.class_of(agent, rt)
+            cls = m.classmask[agent][rt]
             return all(_sd(m, i, phi.body) for i in range(m.n) if cls >> i & 1)
         if phi.op == D:
             if t is None:
                 return False
-            cls = m.class_of(agent, r)
+            cls = m.classmask[agent][r]
             for r2 in range(m.n):
                 v = m.compose_i(r2, t)
                 if v is not None and cls >> v & 1 and _sd(m, v, phi.body):
@@ -207,7 +207,7 @@ def _sd(m: Model, r: int, phi: Formula) -> bool:
         if phi.op == E:
             if rt is None:
                 return True
-            cls = m.class_of(agent, rt)
+            cls = m.classmask[agent][rt]
             for r2 in range(m.n):
                 v = m.compose_i(r2, t)
                 if v is not None and cls >> v & 1 and not _sd(m, v, phi.body):
@@ -217,12 +217,12 @@ def _sd(m: Model, r: int, phi: Formula) -> bool:
             # defined combination AND some equivalent world satisfying the body
             if rt is None:
                 return False
-            cls = m.class_of(agent, rt)
+            cls = m.classmask[agent][rt]
             return any(_sd(m, i, phi.body) for i in range(m.n) if cls >> i & 1)
         if phi.op == "Ddual":
             if t is None:
                 return True
-            cls = m.class_of(agent, r)
+            cls = m.classmask[agent][r]
             for r2 in range(m.n):
                 v = m.compose_i(r2, t)
                 if v is not None and cls >> v & 1 and not _sd(m, v, phi.body):
@@ -231,7 +231,7 @@ def _sd(m: Model, r: int, phi: Formula) -> bool:
         if phi.op == "Edual":
             if rt is None:
                 return False
-            cls = m.class_of(agent, rt)
+            cls = m.classmask[agent][rt]
             for r2 in range(m.n):
                 v = m.compose_i(r2, t)
                 if v is not None and cls >> v & 1 and _sd(m, v, phi.body):
@@ -336,8 +336,13 @@ def find_countermodel(phi: Formula, sig, carrier_bound: int = 4,
     """First enumerated model (with carrier up to ``carrier_bound``) and
     world falsifying ``phi``, or None when the bounds are exhausted.  Each
     step decides a whole block of valuations: the AND of the formula's rows
-    has a bit clear for each countermodel of the block."""
-    max_extra = max(0, carrier_bound - len(sig.resources))
+    has a bit clear for each countermodel of the block.  A bound below the
+    number of the signature's resources, which every model holds, raises
+    ErlError."""
+    max_extra = carrier_bound - len(sig.resources)
+    if max_extra < 0:
+        raise ErlError(f"carrier bound {carrier_bound} is below the "
+                       f"{len(sig.resources)} resources of the signature")
     for frame, block in enumerate_blocks(sig, max_extra, atoms_of(phi), logic):
         rows = _rows(frame, block, phi)
         valid = reduce(and_, rows)

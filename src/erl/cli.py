@@ -7,8 +7,10 @@
 
 Budgets and the logic are set by flags (--logic, --max-constants, --max-steps,
 --closure-budget, --carrier-bound, --output, --seed) or by the matching ERL_*
-environment variables.  Usage errors, bad flag or ERL_* values among them,
-exit with 64; data errors exit with 65.
+environment variables.  The carrier bound counts the signature's resources:
+a signature with more than 4 needs --carrier-bound above the default 4.  Usage
+errors, bad flag or ERL_* values and unreadable files among them, exit with
+64; data errors, a carrier bound below the resource count among them, 65.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EX_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
 

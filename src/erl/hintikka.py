@@ -4,8 +4,10 @@ A saturated open branch satisfying the 29 Hintikka conditions induces a
 finite model, read straight off the closure in world indices: its worlds
 are the resource classes of the closure domain, together with the
 signature's resources; x.y = w wherever w is a domain label with the split
-x, y; each agent relation is the closure's agent partition, a union of
-resource classes; the valuation comes from the signed atoms.  A class
+x, y, checked and stored by ``syntax.composition_cells`` as for every other
+model; each agent relation is the closure's agent partition, a union of
+resource classes, closed by ``models._close_equiv``; the valuation comes
+from the signed atoms.  A class
 holding the image of a resource is named by that resource, ties broken by
 name order, the unit first, with a warning (the calculus never promises at
 most one image per class; a resource r with r ~ e has the unit's image in
@@ -31,8 +33,8 @@ from .checker import satisfies
 from .closing import branch_witness, describe_closure_witness
 from .errors import ModelError, NotHintikka
 from .labels import Closure, fact_of, label_key, label_str, splits_of
-from .models import Frame, Model, validate_model
-from .syntax import Atom, Signature, format_formula
+from .models import Frame, Model, _close_equiv, validate_model
+from .syntax import Atom, Signature, composition_cells, format_formula
 from .tableaux import FRESH_NEED, RULES, expand, instances, rule_for
 
 
@@ -170,31 +172,18 @@ def extract_model(formulas, closure: Closure, sig: Signature,
     index = build_index(closure, sig)
     carrier, position = index.carrier, index.position
     n = len(carrier)
-    unit = position[()]
 
-    # y.z = w for each split of each domain label w; unit rows are implicit
-    comp: dict = {}
-    for w, k in position.items():
-        for y, z in splits_of(w):
-            i, j = position[y], position[z]
-            if unit in (i, j):
-                other = j if i == unit else i
-                if k != other:
-                    raise ModelError(f"unit row {(carrier[i], carrier[j], carrier[k])} "
-                                     f"must map to {carrier[other]}")
-            elif comp.setdefault((i, j) if i <= j else (j, i), k) != k:
-                raise ModelError(f"conflicting composition for {carrier[i]}.{carrier[j]}")
+    # y.z = w for each split of each domain label w
+    comp = composition_cells(
+        ((position[y], position[z], k) for w, k in position.items()
+         for y, z in splits_of(w)), position[()], ModelError, carrier.__getitem__)
 
-    # an agent class is a union of resource classes; a world no label
-    # reaches is alone in its class
-    classmask = {u: [1 << i for i in range(n)] for u in sorted(sig.agents)}
-    for u, masks in classmask.items():
-        for x, i in position.items():
-            if masks[i] == 1 << i:
-                worlds = {position[y] for y in closure.partners_agent(u, x)}
-                mask = sum(1 << j for j in worlds)
-                for j in worlds:
-                    masks[j] = mask
+    # an agent class is a union of resource classes, so one label per world
+    # gives its partners; a world no label reaches is alone in its class
+    label_at = {i: x for x, i in position.items()}
+    classmask = {u: _close_equiv(n, ((i, position[y]) for i, x in label_at.items()
+                                     for y in closure.partners_agent(u, x)))
+                 for u in sorted(sig.agents)}
     equiv_pairs = {u: [(i, j) for i in range(n) for j in range(i + 1, n)
                        if masks[i] >> j & 1] for u, masks in classmask.items()}
 

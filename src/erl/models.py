@@ -4,19 +4,26 @@ A model is a frame plus a valuation.  The frame (``Frame``) fixes a finite
 carrier extending the signature's resources, a partial
 commutative-associative composition with the unit as neutral element, and
 one equivalence relation per agent; it also holds everything derived from
-those alone: the world index, splits and extensions of each world, term
-values, the partner table of each modality, and the evaluation tables of
-``checker.truth_set``.  A valuation maps each atom to a world set.  Worlds
-are referred to by name at the API surface; internally they are indexed and
-world sets are bitmasks.
+those alone: the world index, the dense composition table, and read off it
+the splits and extensions of each world, term values, the partner table of
+each modality, and the evaluation tables of ``checker.truth_set``.  A
+valuation maps each atom to a world set.  Worlds are referred to by name at
+the API surface; internally they are indexed and world sets are bitmasks.
+
+Four builders make frames, each from index-level cells and agent classes:
+``make_model`` from name-level data and ``hintikka.extract_model`` from a
+branch closure both take their cells from ``syntax.composition_cells`` and
+their classes from ``_close_equiv``; ``enumerate_blocks`` and
+``sample_models`` both lay out the carrier and each cell's options with
+``_cells`` and take their classes from partitions (``_classes``).
 
 The valuations of a frame come in blocks (``Valuations``) of at most
 ``BLOCK``; bit v of an evaluation table's row stands for valuation v of the
 block, so one table serves every model of the block.  A ``Model`` is a
 frame, its valuation, and the block and column it sits in; it reads the
-frame's fields through.  ``make_model`` and ``sample_models`` build frames
-with a single valuation.  A model's valuation must not change once it has
-been evaluated: the tables would keep the old one.  Nor may an enumerated
+frame's fields through.  All but ``enumerate_blocks`` build frames with a
+single valuation.  A model's valuation must not change once it has been
+evaluated: the tables would keep the old one.  Nor may an enumerated
 model's: its dict may be shared (see below).
 
 ``enumerate_blocks`` streams every frame over the signature's resources
@@ -41,8 +48,8 @@ from typing import Iterable, Iterator
 from .config import is_star
 from .errors import BudgetTooLarge, ModelError
 from .syntax import (BASE_OF, C, D, Modal, Signature, Term, Violation,
-                     associativity_witness, json_names, load_signature,
-                     read_json, signature_to_json)
+                     associativity_witness, composition_cells, json_names,
+                     load_signature, read_json, signature_to_json)
 
 _UNKNOWN = object()  # unassigned cell sentinel during enumeration
 
@@ -64,8 +71,8 @@ class Frame:
     from being reused while the entry lives."""
 
     __slots__ = ("sig", "carrier", "index", "n", "full_mask", "unit_i", "comp",
-                 "classmask", "equiv_pairs", "splits", "extensions", "_tv",
-                 "_partners", "tables")
+                 "table", "classmask", "equiv_pairs", "splits", "extensions",
+                 "_tv", "_partners", "tables")
 
     def __init__(self, sig: Signature, carrier: tuple[str, ...], comp: dict,
                  classmask: dict, equiv_pairs: dict,
@@ -79,40 +86,35 @@ class Frame:
         self.tables = {}
         if like is not None:
             # the same carrier and composition: share what derives from them
-            (self.index, self.n, self.full_mask, self.unit_i, self.splits,
-             self.extensions, self._tv) = (
-                like.index, like.n, like.full_mask, like.unit_i, like.splits,
-                like.extensions, like._tv)
+            (self.index, self.n, self.full_mask, self.unit_i, self.table,
+             self.splits, self.extensions, self._tv) = (
+                like.index, like.n, like.full_mask, like.unit_i, like.table,
+                like.splits, like.extensions, like._tv)
             return
         self.index = {w: i for i, w in enumerate(carrier)}
         self.n = n = len(carrier)
         self.full_mask = (1 << n) - 1
-        self.unit_i = self.index[sig.unit]
+        self.unit_i = u = self.index[sig.unit]
         self._tv = {}
-        # every defined product i . j = k, in (i, j) order: the unit rows,
-        # and each cell both ways round
-        u = self.unit_i
-        products = [(u, i, i) for i in range(n)] + \
-            [(i, u, i) for i in range(n) if i != u]
+        # table[i][j] = i . j, None where undefined: the unit rows, and each
+        # cell both ways round
+        table = [[None] * n for _ in range(n)]
+        for i in range(n):
+            table[u][i] = table[i][u] = i
         for (i, j), k in comp.items():
-            products.append((i, j, k))
-            if i != j:
-                products.append((j, i, k))
-        products.sort()
-        splits = [[] for _ in range(n)]   # r -> (i, j) with i . j = r
-        ext = [[] for _ in range(n)]      # i -> (j, i . j) where defined
-        for i, j, k in products:
-            splits[k].append((i, j))
-            ext[i].append((j, k))
+            table[i][j] = table[j][i] = k
+        self.table = tuple(map(tuple, table))
+        # i -> (j, i . j) where defined, and r -> (i, j) with i . j = r
+        self.extensions = tuple(tuple((j, k) for j, k in enumerate(row) if k is not None)
+                                for row in table)
+        splits = [[] for _ in range(n)]
+        for i, ext in enumerate(self.extensions):
+            for j, k in ext:
+                splits[k].append((i, j))
         self.splits = tuple(map(tuple, splits))
-        self.extensions = tuple(map(tuple, ext))
 
     def compose_i(self, i: int, j: int) -> int | None:
-        if i == self.unit_i:
-            return j
-        if j == self.unit_i:
-            return i
-        return self.comp.get((i, j) if i <= j else (j, i))
+        return self.table[i][j]
 
     def compose(self, a: str, b: str) -> str | None:
         k = self.compose_i(self.index[a], self.index[b])
@@ -153,16 +155,13 @@ class Frame:
             out = (0,) * n
         else:
             masks = self.classmask[phi.agent]
-            rt = [self.compose_i(r, t) for r in range(n)]
+            rt = [row[t] for row in self.table]
             image = (self.full_mask if family == C else
                      sum(1 << v for v in set(rt) - {None}))
             sources = range(n) if family == D else rt
             out = tuple([0 if v is None else masks[v] & image for v in sources])
         self._partners[key] = out
         return out
-
-    def class_of(self, agent: str, i: int) -> int:
-        return self.classmask[agent][i]
 
     def mask_worlds(self, mask: int) -> list[str]:
         return [self.carrier[i] for i in range(self.n) if mask >> i & 1]
@@ -232,8 +231,8 @@ class Model:
 
 
 for _name in ("sig", "carrier", "index", "n", "full_mask", "unit_i", "comp",
-              "classmask", "equiv_pairs", "splits", "extensions", "compose_i",
-              "compose", "term_value_i", "partners", "class_of", "mask_worlds"):
+              "table", "classmask", "equiv_pairs", "splits", "extensions",
+              "compose_i", "compose", "term_value_i", "partners", "mask_worlds"):
     setattr(Model, _name, property(attrgetter("frame." + _name)))
 
 
@@ -269,23 +268,15 @@ def make_model(sig: Signature, carrier: Iterable[str],
     for r in sig.resources:
         if r not in index:
             raise ModelError(f"carrier must contain resource {r!r}")
-    unit_i = index[sig.unit]
 
-    table: dict[tuple[int, int], int] = {}
-    for (a, b, c) in comp:
+    def worlds(names, what: str) -> list[int]:
         try:
-            i, j, k = index[a], index[b], index[c]
+            return [index[w] for w in names]
         except KeyError as exc:
-            raise ModelError(f"composition row {(a, b, c)} mentions unknown world {exc}")
-        if unit_i in (i, j):
-            other = j if i == unit_i else i
-            if k != other:
-                raise ModelError(f"unit row {(a, b, c)} must map to {carrier[other]}")
-            continue
-        cell = (i, j) if i <= j else (j, i)
-        if table.get(cell, k) != k:
-            raise ModelError(f"conflicting composition for {a}.{b}")
-        table[cell] = k
+            raise ModelError(f"{what} mentions unknown world {exc}") from None
+
+    rows = [worlds(row, f"composition row {row}") for row in comp]
+    table = composition_cells(rows, index[sig.unit], ModelError, carrier.__getitem__)
 
     unknown = sorted(set(equiv or {}) - sig.agents)
     if unknown:
@@ -293,24 +284,14 @@ def make_model(sig: Signature, carrier: Iterable[str],
     classmask = {}
     equiv_pairs = {}
     for agent in sorted(sig.agents):
-        raw = list((equiv or {}).get(agent, ()))
-        pairs_i = []
-        for (a, b) in raw:
-            if a not in index or b not in index:
-                raise ModelError(f"equivalence pair {(a, b)} mentions unknown world")
-            pairs_i.append((index[a], index[b]))
+        pairs_i = [worlds(pair, f"equivalence pair {pair}")
+                   for pair in (equiv or {}).get(agent, ())]
         classmask[agent] = _close_equiv(len(carrier), pairs_i)
         equiv_pairs[agent] = sorted({(min(i, j), max(i, j))
                                      for i, j in pairs_i if i != j})
 
-    val = {}
-    for atom, worlds in (valuation or {}).items():
-        mask = 0
-        for w in worlds:
-            if w not in index:
-                raise ModelError(f"valuation of {atom!r} mentions unknown world {w!r}")
-            mask |= 1 << index[w]
-        val[atom] = mask
+    val = {atom: sum(1 << i for i in set(worlds(ws, f"the valuation of {atom!r}")))
+           for atom, ws in (valuation or {}).items()}
 
     return Model(Frame(sig, carrier, table, classmask, equiv_pairs), val)
 
@@ -339,9 +320,7 @@ def validate_model(m: Model, logic: str = "erl") -> list[Violation]:
 
     # Kleene associativity (with commutativity this is definedness-invariance
     # of every three-way product)
-    compose_i = m.compose_i
-    table = [[compose_i(i, j) for j in range(n)] for i in range(n)]
-    triple = associativity_witness(table, range(n), m.unit_i)
+    triple = associativity_witness(m.table, range(n), m.unit_i)
     if triple is not None:
         a, b, c = triple
         out.append(Violation(
@@ -388,21 +367,17 @@ def validate_model(m: Model, logic: str = "erl") -> list[Violation]:
 def star_compat_violation(m: Model | Frame) -> tuple | None:
     """First witness against compatibility of the agent relations with
     composition, or None when the model is compatible."""
-    n, compose_i = m.n, m.compose_i
+    n, table = m.n, m.table
     for agent in sorted(m.classmask):
         masks = m.classmask[agent]
-        for r in range(n):
-            for s in range(n):
-                rs = compose_i(r, s)
-                if rs is None:
-                    continue
-                cls = masks[r]
+        for r, ext in enumerate(m.extensions):
+            cls = masks[r]
+            for s, rs in ext:
                 for r2 in range(n):
-                    if not cls >> r2 & 1:
-                        continue
-                    r2s = compose_i(r2, s)
-                    if r2s is None or not masks[rs] >> r2s & 1:
-                        return (agent, r, r2, s)
+                    if cls >> r2 & 1:
+                        r2s = table[r2][s]
+                        if r2s is None or not masks[rs] >> r2s & 1:
+                            return (agent, r, r2, s)
     return None
 
 
@@ -584,57 +559,54 @@ class _AssocChecker:
 
 
 def _fresh_names(sig: Signature, k: int) -> list[str]:
+    """w1, ..., wk, each with x appended until it names no resource."""
     names = []
-    used = set(sig.resources)
-    i = 1
-    while len(names) < k:
+    for i in range(1, k + 1):
         cand = f"w{i}"
-        while cand in used:
+        while cand in sig.resources:
             cand += "x"
         names.append(cand)
-        used.add(cand)
-        i += 1
     return names
+
+
+def _cells(sig: Signature, extra: int) -> tuple:
+    """The carrier (the signature's resources by name, then ``extra`` fresh
+    worlds), the unit's index, the cells (i, j), i <= j, off the unit, and
+    each cell's options, undefined (None) first.  A product the signature
+    defines is forced; any other product of two resources is undefined or
+    fresh, as one inside the signature would contradict extension of the
+    syntactic composition; any other cell may take any value."""
+    res = sorted(sig.resources)
+    carrier = tuple(res + _fresh_names(sig, extra))
+    n = len(carrier)
+    unit_i = carrier.index(sig.unit)
+    cells, options = [], []
+    for i in range(n):
+        for j in range(i, n):
+            if unit_i in (i, j):
+                continue
+            cells.append((i, j))
+            if j >= len(res):             # i <= j: a fresh world is a factor
+                options.append([None, *range(n)])
+            elif (t := sig.compose(carrier[i], carrier[j])) is not None:
+                options.append([res.index(t)])
+            else:
+                options.append([None, *range(len(res), n)])
+    return carrier, unit_i, cells, options
 
 
 def enumerate_prms(sig: Signature, extra: int) -> Iterator[tuple]:
     """Stream (carrier, comp, stabilizer) for all partial resource monoids on
     the signature's resources plus ``extra`` fresh worlds, canonical under
     permutations of the fresh worlds.  ``stabilizer`` lists the fresh-world
-    permutations (as full index maps) fixing the composition table."""
-    res = sorted(sig.resources)
-    fresh = _fresh_names(sig, extra)
-    carrier = tuple(res + fresh)
-    index = {w: i for i, w in enumerate(carrier)}
-    unit_i = index[sig.unit]
+    permutations (as full index maps) other than the identity that fix the
+    composition table."""
+    carrier, unit_i, cells, options = _cells(sig, extra)
     n = len(carrier)
-    res_i = {index[r] for r in res}
-    fresh_i = [index[w] for w in fresh]
-
-    cells = [(i, j) for i in range(n) for j in range(i, n)
-             if i != unit_i and j != unit_i]
-    options = []
-    forced = {}
-    for (i, j) in cells:
-        a, b = carrier[i], carrier[j]
-        if i in res_i and j in res_i:
-            t = sig.compose(a, b)
-            if t is not None:
-                forced[(i, j)] = index[t]
-                options.append([index[t]])
-            else:
-                # a fresh value or undefined: a result inside the signature
-                # would contradict extension of the syntactic composition
-                options.append([None] + fresh_i)
-        else:
-            options.append([None] + list(range(n)))
-
-    perms = []
-    for p in permutations(fresh_i):
-        mapping = list(range(n))
-        for src, dst in zip(fresh_i, p):
-            mapping[src] = dst
-        perms.append(tuple(mapping))
+    # the fresh worlds come last: a permutation of them fixes the rest; the
+    # first permutation, the identity, fixes every table
+    perms = [tuple(range(n - extra)) + p
+             for p in permutations(range(n - extra, n))][1:]
 
     checker = _AssocChecker(n, unit_i)
     lookup = checker.cells
@@ -682,32 +654,32 @@ DEFAULT_STREAM_CAP = 10 ** 9
 
 
 def enumerate_blocks(sig: Signature, max_extra: int, atoms: Iterable[str],
-                     logic: str = "erl", cap: int = DEFAULT_STREAM_CAP,
-                     min_extra: int = 0) -> Iterator[tuple[Frame, Valuations]]:
+                     logic: str = "erl") -> Iterator[tuple[Frame, Valuations]]:
     """Stream ``(frame, block)`` for every frame with carrier Res plus up to
     ``max_extra`` fresh worlds, up to permutation of the fresh worlds, and
     each block of at most ``BLOCK`` of its valuations, in enumeration order.
     In the compatible logic only compatibility-satisfying frames are
     produced.  A frame whose valuations fit one block shares that block
     with every frame of this call with as many worlds and the same
-    stabilizer: the valuation stream depends on nothing else."""
+    stabilizer: the valuation stream depends on nothing else.  A stream
+    ``estimate_stream`` puts above ``DEFAULT_STREAM_CAP`` raises
+    BudgetTooLarge."""
     star = is_star(logic)
     atoms = sorted(set(atoms))
-    if estimate_stream(sig, max_extra, atoms) > cap:
-        raise BudgetTooLarge(
-            f"estimated stream exceeds cap {cap}; restrict worlds or atoms")
+    if estimate_stream(sig, max_extra, atoms) > DEFAULT_STREAM_CAP:
+        raise BudgetTooLarge(f"estimated stream exceeds cap {DEFAULT_STREAM_CAP}; "
+                             f"restrict worlds or atoms")
     agents = sorted(sig.agents)
     shared: dict = {}                     # (n, stabilizer) -> [Valuations]
-    for extra in range(min_extra, max_extra + 1):
+    for extra in range(max_extra + 1):
         for carrier, comp, stab in enumerate_prms(sig, extra):
             n = len(carrier)
             parts = _partitions(n)
-            nontrivial_stab = [p for p in stab if p != tuple(range(n))]
             like = None
             for assignment in product(parts, repeat=len(agents)):
-                if nontrivial_stab:
+                if stab:
                     if any(tuple(_perm_rgs(r, p) for r in assignment) < assignment
-                           for p in nontrivial_stab):
+                           for p in stab):
                         continue
                 classes = [_classes(r) for r in assignment]
                 frame = like = Frame(sig, carrier, comp,
@@ -716,7 +688,7 @@ def enumerate_blocks(sig: Signature, max_extra: int, atoms: Iterable[str],
                                      like)
                 if star and star_compat_violation(frame) is not None:
                     continue
-                stab2 = [p for p in nontrivial_stab
+                stab2 = [p for p in stab
                          if all(_perm_rgs(r, p) == r for r in assignment)]
                 key = (n, tuple(stab2))
                 blocks = shared.get(key)
@@ -741,12 +713,10 @@ def _valuation_blocks(atoms: list, n: int, stab: list) -> Iterator[Valuations]:
 
 
 def enumerate_models(sig: Signature, max_extra: int, atoms: Iterable[str],
-                     logic: str = "erl", cap: int = DEFAULT_STREAM_CAP,
-                     min_extra: int = 0) -> Iterator[Model]:
+                     logic: str = "erl") -> Iterator[Model]:
     """Stream every model of ``enumerate_blocks``: the models of one frame
     come one after the other and share its ``Frame``."""
-    for frame, block in enumerate_blocks(sig, max_extra, atoms, logic, cap,
-                                         min_extra):
+    for frame, block in enumerate_blocks(sig, max_extra, atoms, logic):
         for col, val in enumerate(block.valuations):
             yield Model(frame, val, block, col)
 
@@ -763,30 +733,22 @@ def sample_models(sig: Signature, max_extra: int, atoms: Iterable[str],
     rng = random.Random(seed)
     atoms = sorted(set(atoms))
     agents = sorted(sig.agents)
+    layouts = [_cells(sig, extra) for extra in range(max_extra + 1)]
     produced = 0
     for _ in range(SAMPLE_TRIES):
         if produced >= count:
             return
-        extra = rng.randint(0, max_extra)
-        res = sorted(sig.resources)
-        carrier = tuple(res + _fresh_names(sig, extra))
+        carrier, _, cells, options = layouts[rng.randint(0, max_extra)]
         n = len(carrier)
-        index = {w: i for i, w in enumerate(carrier)}
-        unit_i = index[sig.unit]
-        fresh_i = [index[w] for w in carrier if w not in sig.resources]
         comp = {}
-        for i in range(n):
-            for j in range(i, n):
-                if unit_i in (i, j):
-                    continue
-                if carrier[i] in sig.resources and carrier[j] in sig.resources:
-                    t = sig.compose(carrier[i], carrier[j])
-                    if t is not None:
-                        comp[(i, j)] = index[t]
-                    elif fresh_i and rng.random() < 0.3:
-                        comp[(i, j)] = rng.choice(fresh_i)
-                elif rng.random() < 0.3:
-                    comp[(i, j)] = rng.randrange(n)
+        # a cell takes its one option, or else a defined value with
+        # probability 0.3
+        for cell, opts in zip(cells, options):
+            if len(opts) == 1:
+                if opts[0] is not None:
+                    comp[cell] = opts[0]
+            elif rng.random() < 0.3:
+                comp[cell] = rng.choice(opts[1:])
         classmask, equiv_pairs = {}, {}
         for a in agents:
             rgs = []

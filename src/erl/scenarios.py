@@ -139,7 +139,7 @@ def _run_replay(models: dict, step: ReplayStep) -> ReportEntry:
         want = a.get("result")
         return ReportEntry(label, got == want, f"got {got}")
     if step.kind == "equiv":
-        cls = m.class_of(a["agent"], m.index[a["left"]])
+        cls = m.classmask[a["agent"]][m.index[a["left"]]]
         got = bool(cls >> m.index[a["right"]] & 1)
         return ReportEntry(label, got == a.get("expect", True), f"got {got}")
     if step.kind == "holds":

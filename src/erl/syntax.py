@@ -78,18 +78,8 @@ class Signature:
              composition: Iterable[tuple[str, str, str]] = ()) -> "Signature":
         """Build a signature, completing commuted orientations and dropping
         redundant unit rows.  Inconsistent duplicate rows raise."""
-        table: dict[tuple[str, str], str] = {}
         res = frozenset(resources) | {unit}
-        for (r, s, t) in composition:
-            if unit in (r, s):
-                other = s if r == unit else r
-                if t != other:
-                    raise SignatureError(f"unit row {r}.{s} must equal {other}, got {t}")
-                continue
-            key = (min(r, s), max(r, s))
-            if table.get(key, t) != t:
-                raise SignatureError(f"conflicting rows for {key}: {table[key]} vs {t}")
-            table[key] = t
+        table = composition_cells(composition, unit, SignatureError)
         return Signature(frozenset(agents), res, unit, table)
 
     def compose(self, r: str, s: str) -> str | None:
@@ -98,6 +88,26 @@ class Signature:
         if s == self.unit:
             return r
         return self.composition.get((min(r, s), max(r, s)))
+
+
+def composition_cells(rows, unit, error: type[ErlError], name=str) -> dict:
+    """The cells {(x, y) with x <= y: z} of the composition rows (x, y, z),
+    x.y = z, one per commuted pair.  A row through ``unit`` is implicit and
+    dropped, but must map to its other factor; that, or two rows giving one
+    cell two values, raises ``error``, naming each world by ``name``."""
+    cells: dict = {}
+    for (x, y, z) in rows:
+        if unit in (x, y):
+            other = y if x == unit else x
+            if z != other:
+                raise error(f"unit row {name(x)}.{name(y)} = {name(z)} "
+                            f"must map to {name(other)}")
+            continue
+        cell = (x, y) if x <= y else (y, x)
+        if cells.setdefault(cell, z) != z:
+            raise error(f"conflicting composition for {name(x)}.{name(y)}: "
+                        f"{name(cells[cell])} vs {name(z)}")
+    return cells
 
 
 def validate_signature(sig: Signature) -> list[Violation]:
@@ -154,7 +164,7 @@ def validate_signature(sig: Signature) -> list[Violation]:
     triple = associativity_witness(table, range(len(names)), index.get(sig.unit))
     if triple is not None:
         r, s, t = (order[i] for i in triple)
-        out.append(Violation("Associativity", triple,
+        out.append(Violation("Associativity", (r, s, t),
                              f"{r}.({s}.{t}) = {sig.compose(r, sig.compose(s, t))} "
                              f"but ({r}.{s}).{t} differs"))
     return out
@@ -186,15 +196,15 @@ def associativity_witness(table, elements, unit):
 
 def read_json(source, error: type[ErlError], lists=()) -> dict:
     """The JSON object in a dict, file object or file path.  Anything else,
-    or a non-list (a string, say) under one of the keys ``lists``, raises
-    ``error``."""
+    text that is not UTF-8, or a non-list (a string, say) under one of the
+    keys ``lists``, raises ``error``."""
     try:
         if hasattr(source, "read"):
             source = json.load(source)
         elif isinstance(source, (str, os.PathLike)):
             with open(source, "r", encoding="utf-8") as fh:
                 source = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"malformed JSON: {exc}") from None
     if not isinstance(source, dict):
         raise error(f"expected a JSON object, got {type(source).__name__}")

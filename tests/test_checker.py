@@ -202,8 +202,8 @@ def test_truth_set_matches_direct_across_blocks():
     # later block first, then an earlier one, for the same formulas.
     sig = Signature.make(["a"], ["e"])
     corpus = differential_corpus(sig, 40, 37)
-    models = list(enumerate_models(sig, 2, ["p", "q", "r"], "erl",
-                                   min_extra=2))
+    models = [m for m in enumerate_models(sig, 2, ["p", "q", "r"], "erl")
+              if m.n == 3]
     blocks = {id(m.frame): set() for m in models}
     for m in models:
         blocks[id(m.frame)].add(id(m.block))

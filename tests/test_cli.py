@@ -120,6 +120,45 @@ def test_search_verdicts(sig_file, tmp_path, capsys):
     assert code == 1
 
 
+def test_carrier_bound_below_resources_exit(sig_file, tmp_path, capsys):
+    # every model holds the three resources: bound 1 is not a search over
+    # fewer worlds, whatever the formula
+    for formula in ("p", "p -> p"):
+        capsys.readouterr()
+        assert main(["search", "--sig", sig_file, formula, "--carrier-bound", "1",
+                     "--countermodel-out", str(tmp_path / "cm.json")]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: carrier bound 1") and err.count("\n") == 1, err
+
+
+def test_unreadable_input_exit(sig_file, tmp_path, capsys):
+    # a directory where a file belongs is a usage error, text that is not
+    # UTF-8 a data error: one line each, never a traceback
+    out_file = str(tmp_path / "cm.json")
+    run(capsys, "prove", "--sig", sig_file, "[C a; s] p -> [C a; s] [C a; r] p",
+        "--countermodel-out", out_file)
+    folder = str(tmp_path)
+    for argv in (["prove", "--sig", folder, "p"],
+                 ["check", "--model", folder, "top", "--at", "e"],
+                 ["scenario", "--file", folder],
+                 ["prove", "--sig", sig_file, "[C a; s] p -> [C a; s] [C a; r] p",
+                  "--countermodel-out", folder]):
+        capsys.readouterr()
+        assert main(argv) == 64, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    for name, argv in (("sig.json", ["prove", "--sig"]),
+                       ("model.json", ["check", "top", "--at", "e", "--model"]),
+                       ("scenario.json", ["scenario", "--file"])):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe" + json.dumps(SIG).encode("utf-16-le"))
+        capsys.readouterr()
+        code = main(argv + [str(path)] + (["p"] if argv[0] == "prove" else []))
+        assert code == 65, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_scenarios_exit_zero(capsys):
     for name in ["schneier-base", "schneier-agents", "schneier-shortcut",
                  "schneier-fence", "joint-access", "semaphore"]:

@@ -6,7 +6,8 @@ import pytest
 from erl import (Signature, enumerate_models, load_model, make_model,
                  model_to_json, sample_models, validate_model)
 from erl.errors import BudgetTooLarge, ModelError
-from erl.models import BLOCK, enumerate_blocks, star_compat_violation
+from erl.models import (BLOCK, DEFAULT_STREAM_CAP, enumerate_blocks,
+                        estimate_stream, star_compat_violation)
 
 from oracles import count_models_bruteforce
 
@@ -82,10 +83,10 @@ def test_enumerate_tiny():
 
 def test_enumerate_counts_match_bruteforce():
     sig = Signature.make(["a"], ["e"])
-    ours = list(enumerate_models(sig, 1, [], "erl", min_extra=1))
+    ours = [m for m in enumerate_models(sig, 1, [], "erl") if m.n == 2]
     assert len(ours) == count_models_bruteforce(1, ["a"], [])
     assert len(ours) == 6
-    star = list(enumerate_models(sig, 1, [], "erl-star", min_extra=1))
+    star = [m for m in enumerate_models(sig, 1, [], "erl-star") if m.n == 2]
     assert len(star) == 5
 
 
@@ -147,9 +148,13 @@ def test_enumerate_star_all_compatible():
 
 
 def test_enumerate_budget_guard():
+    # four fresh worlds and three atoms put the estimate near 1e14, past
+    # the default cap; three fresh worlds stay below it (about 9.6e8)
     sig = Signature.make(["a"], ["e"])
+    atoms = ["p", "q", "r"]
+    assert estimate_stream(sig, 3, atoms) <= DEFAULT_STREAM_CAP
     with pytest.raises(BudgetTooLarge):
-        list(enumerate_models(sig, 3, ["p", "q", "r"], "erl", cap=1000))
+        next(enumerate_models(sig, 4, atoms, "erl"))
 
 
 def test_sampling_fallback_validates():
@@ -161,6 +166,34 @@ def test_sampling_fallback_validates():
     again = [m.key() for m in sample_models(sig, 2, ["p"], "erl-star", seed=5,
                                             count=25)]
     assert again == [m.key() for m in models]
+
+
+@pytest.mark.parametrize("agents,resources,logic,seed,digest", [
+    (["a"], ["e", "s"], "erl", 0,
+     "7870c02f48768ab43f3105a14f2c3b82589fad2ea1d073412d57ac8efa3be3ff"),
+    (["a"], ["e", "s"], "erl", 7,
+     "1d321f7fb8ef2ab15f8caf33803d03168bc2e1c62d49ee58a1e668e10790b1b7"),
+    (["a"], ["e", "s"], "erl-star", 0,
+     "1a3c8825572c067e8db6b807713cde0de6fb6f7c8854c09b4603568fccfa816b"),
+    (["a"], ["e", "s"], "erl-star", 7,
+     "168890b6ebe299a9c5fd790bc1625fedb7b0c538c95612db28a97d47df518a68"),
+    (["a", "b"], ["e", "r", "s"], "erl", 0,
+     "390abb40beb30a95cd0ca4af95866bdb767ac41d08b0f14434937a5623777725"),
+    (["a", "b"], ["e", "r", "s"], "erl", 7,
+     "0e893691d1aba2652f0e6d3b4c2d61f8f28383c8f194b0a6bf17e55de561ec09"),
+    (["a", "b"], ["e", "r", "s"], "erl-star", 0,
+     "6387d80a1565b08683a307b5d725f8f0957c0f5952754ccabfeb6ec0bb1159bd"),
+    (["a", "b"], ["e", "r", "s"], "erl-star", 7,
+     "31c1de2fc661d99ae6765e77af88f9c533e6db0709c38ab56ce896adb537af9a"),
+], ids=["a-es-erl-0", "a-es-erl-7", "a-es-star-0", "a-es-star-7",
+        "ab-ers-erl-0", "ab-ers-erl-7", "ab-ers-star-0", "ab-ers-star-7"])
+def test_sampled_models_are_pinned(agents, resources, logic, seed, digest):
+    # the digests pin which random models a seed draws, and their order
+    h = hashlib.sha256()
+    for m in sample_models(Signature.make(agents, resources), 2, ["p"], logic,
+                           seed=seed, count=20):
+        h.update(repr(m.key()).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 def test_model_json_roundtrip(tmp_path):
@@ -183,5 +216,7 @@ def test_make_model_errors():
     with pytest.raises(ModelError):
         make_model(sig, ["e", "s", "w1"],
                    [("s", "s", "w1"), ("s", "s", "e")])
+    with pytest.raises(ModelError):
+        make_model(sig, ["e", "s"], [("e", "s", "e")])  # e.s must be s
     with pytest.raises(ModelError):
         make_model(sig, ["e", "s"], [], {"zz": [("e", "s")]})  # unknown agent

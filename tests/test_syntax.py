@@ -122,9 +122,26 @@ def test_validate_associativity_violation():
     assert "Associativity" in axioms
     assert not check_signature_axioms(sorted(sig.resources), "e",
                                       {("s", "t"): "u", ("r", "u"): "t"})
+    # the witness names resources, not positions in the table
+    sig = Signature.make([], ["e", "r", "s", "t"], "e",
+                         [("r", "s", "t"), ("t", "r", "s")])
+    assert [(v.axiom, v.witness) for v in validate_signature(sig)] == \
+        [("Associativity", ("r", "r", "s"))]
     # a square with an undefined cross product is a legitimate partial monoid
     square = Signature.make([], ["e", "r", "s"], composition=[("r", "r", "s")])
     assert validate_signature(square) == []
+
+
+def test_make_rejects_inconsistent_rows():
+    res = ["e", "r", "s", "t"]
+    with pytest.raises(SignatureError):
+        Signature.make([], res, "e", [("r", "s", "t"), ("s", "r", "e")])
+    with pytest.raises(SignatureError):
+        Signature.make([], res, "e", [("e", "r", "s")])  # e.r must be r
+    # a repeated or commuted row, and a unit row that holds, are accepted
+    sig = Signature.make([], res, "e", [("r", "s", "t"), ("s", "r", "t"),
+                                        ("r", "e", "r")])
+    assert sig.composition == {("r", "s"): "t"}
 
 
 def test_reserved_resource_names():
