@@ -33,8 +33,9 @@ def show(title, text, logic):
         print(f"   branch {rec['branch']} closed: {rec['witness']}")
     if out.refuted:
         print(f"   countermodel falsifies the formula at {out.world}:")
-        print(json.dumps(model_to_json(out.countermodel, out.world,
-                                       include_signature=False), indent=4))
+        data = model_to_json(out.countermodel, out.world)
+        del data["signature"]
+        print(json.dumps(data, indent=4))
     print()
 
 

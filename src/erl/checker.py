@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
 
-from .config import ERL
+from .config import ERL, RunConfig
 from .errors import ErlError
 # enumerate_models is not called here; it stays importable from this module,
 # where perfbench's tracer patches it
@@ -331,7 +331,7 @@ def _explain(m: Model, r: int, phi: Formula) -> dict:
 # Brute-force countermodel search
 
 
-def find_countermodel(phi: Formula, sig, carrier_bound: int = 4,
+def find_countermodel(phi: Formula, sig, carrier_bound: int = RunConfig.carrier_bound,
                       logic: str = ERL):
     """First enumerated model (with carrier up to ``carrier_bound``) and
     world falsifying ``phi``, or None when the bounds are exhausted.  Each

@@ -5,12 +5,12 @@
     erl search   --sig SIG.json "FORMULA"        exit 1 countermodel found / 0 none in bounds
     erl scenario NAME | --file S.json            exit 0 iff all expectations met
 
-Budgets and the logic are set by flags (--logic, --max-constants, --max-steps,
---closure-budget, --carrier-bound, --output, --seed) or by the matching ERL_*
-environment variables.  The carrier bound counts the signature's resources:
-a signature with more than 4 needs --carrier-bound above the default 4.  Usage
-errors, bad flag or ERL_* values and unreadable files among them, exit with
-64; data errors, a carrier bound below the resource count among them, 65.
+Each subcommand accepts the setting flags it reads (see erl CMD --help) and
+no others; the ERL_* environment variables apply to all.  The carrier bound
+counts the signature's resources: a signature with more than 4 needs
+--carrier-bound above the default 4.  Usage errors, unread or bad settings
+and unreadable files among them, exit with 64; data errors, a carrier bound
+below the resource count among them, 65.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import sys
 
 from .checker import explain, find_countermodel
-from .config import RunConfig, resolve_config
+from .config import CHOICES, RunConfig, flag, resolve_config
 from .errors import ConfigError, ErlError
 from .models import load_model, model_to_json, validate_model
 from .scenarios import builtin_scenario, builtin_scenarios, load_scenario, \
@@ -32,14 +32,14 @@ EX_USAGE = 64
 EX_DATA = 65
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--logic", choices=["erl", "erl-star"], default=None)
-    p.add_argument("--max-constants", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--closure-budget", type=int, default=None)
-    p.add_argument("--carrier-bound", type=int, default=None)
-    p.add_argument("--output", choices=["text", "json"], default=None)
-    p.add_argument("--seed", type=int, default=None)
+# The settings each subcommand reads, as strings for resolve_config to parse
+SETTINGS = {
+    "prove": ("logic", "max_constants", "max_steps", "closure_budget", "seed",
+              "output"),
+    "check": ("logic", "output"),
+    "search": ("logic", "carrier_bound", "output"),
+    "scenario": ("output",),
+}
 
 
 def _emit(data: dict, cfg: RunConfig, text_lines: list[str]) -> None:
@@ -138,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig", required=True, help="signature JSON file")
     p.add_argument("formula")
     p.add_argument("--countermodel-out", default="countermodel.json")
-    _common_flags(p)
     p.set_defaults(fn=cmd_prove)
 
     p = sub.add_parser("check", help="evaluate a formula in a model")
@@ -147,14 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
                    "(optional when the model embeds one)")
     p.add_argument("formula")
     p.add_argument("--at", default=None, help="world to evaluate at")
-    _common_flags(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("search", help="brute-force countermodel search")
     p.add_argument("--sig", required=True)
     p.add_argument("formula")
     p.add_argument("--countermodel-out", default="countermodel.json")
-    _common_flags(p)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("scenario", help="run a builtin or file scenario")
@@ -163,8 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true")
     p.add_argument("--dump", action="store_true",
                    help="print the scenario as JSON instead of running it")
-    _common_flags(p)
     p.set_defaults(fn=cmd_scenario)
+    for command, parser in sub.choices.items():
+        for name in SETTINGS[command]:
+            parser.add_argument(flag(name), metavar="|".join(CHOICES.get(name, ["N"])))
     return top
 
 

@@ -1,7 +1,8 @@
 """Run configuration: search budgets, logic selection, output control.
 
-Environment variables with the prefix ``ERL_`` (e.g. ``ERL_MAX_CONSTANTS``)
-override the defaults; explicit CLI flags override both.  A value that does
+Every setting is parsed, checked and defaulted here.  Environment variables
+with the prefix ``ERL_`` (e.g. ``ERL_MAX_CONSTANTS``) override the defaults;
+CLI flags, strings as the variables are, override both.  A value that does
 not parse or is out of range raises ``ConfigError`` naming its source.
 """
 
@@ -16,6 +17,8 @@ ERL = "erl"
 ERL_STAR = "erl-star"
 
 _LOGICS = (ERL, ERL_STAR)
+# the names each named setting accepts; the other settings take integers
+CHOICES = {"logic": _LOGICS, "output": ("text", "json")}
 
 
 def is_star(logic: str) -> bool:
@@ -29,19 +32,18 @@ class Budget:
     """Resource limits for proof search and constraint saturation.
 
     ``closure_max_card`` bounds the cardinality of labels produced by
-    closure rules; ``None`` selects 2 + the largest base-constraint label.
-    Budgets never fail a computation, they truncate it and set a flag.
+    closure rules.  Budgets never fail a computation, they truncate it and
+    set a flag.
     """
 
     max_constants: int = 8
     max_steps: int = 10_000
-    closure_max_card: int | None = 6
+    closure_max_card: int = 6
 
     def __post_init__(self):
-        if self.max_constants < 0 or self.max_steps <= 0:
+        if (self.max_constants < 0 or self.max_steps <= 0
+                or self.closure_max_card < 1):
             raise ValueError("budgets must be positive")
-        if self.closure_max_card is not None and self.closure_max_card < 1:
-            raise ValueError("closure_max_card must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class RunConfig:
         is_star(self.logic)
         if self.carrier_bound < 1:
             raise ValueError("budgets must be positive")
-        if self.output not in ("text", "json"):
+        if self.output not in CHOICES["output"]:
             raise ValueError(f"unknown output mode {self.output!r}")
 
 
@@ -66,11 +68,14 @@ _OPTIONS = ("max_constants", "max_steps", "closure_budget", "carrier_bound",
             "seed", "logic", "output")
 _BUDGET_FIELD = {"max_constants": "max_constants", "max_steps": "max_steps",
                  "closure_budget": "closure_max_card"}
-_STRING = ("logic", "output")
 
 
-def _parse(name: str, value):
-    if name in _STRING:
+def flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _parse(name: str, value: str):
+    if name in CHOICES:
         return value
     try:
         return int(value)
@@ -80,13 +85,13 @@ def _parse(name: str, value):
 
 def resolve_config(flags=None) -> RunConfig:
     """``RunConfig()`` with the ``ERL_*`` environment variables applied,
-    then the non-None entries of the ``flags`` mapping; flags win.  Empty
-    variables count as unset."""
+    then the non-None entries of the ``flags`` mapping (strings, as the
+    variables' values); flags win.  Empty variables count as unset."""
     flags = flags or {}
     settings = [(f"ERL_{name.upper()}", name,
                  os.environ.get(f"ERL_{name.upper()}") or None)
                 for name in _OPTIONS]
-    settings += [("--" + name.replace("_", "-"), name, flags.get(name))
+    settings += [(flag(name), name, flags.get(name))
                  for name in _OPTIONS]
     cfg = RunConfig()
     for source, name, value in settings:

@@ -410,18 +410,9 @@ class Closure:
     def in_domain(self, x: Label) -> bool:
         return (self.nf(x) if self.units else x) in self._dom
 
-    def alphabet(self) -> list:
-        return sorted({c for x in self._dom for c in x}, key=const_key)
-
     def facts(self) -> list:
         return sorted(_fact(u, x, y) for u, members in self._members.items()
                       for m in members.values() for x in m for y in m)
-
-    def res_facts(self) -> list:
-        return [f[1:] for f in self.facts() if f[0] == "r"]
-
-    def agent_facts(self) -> list:
-        return [f[1:] for f in self.facts() if f[0] == "a"]
 
     # -- derivations -------------------------------------------------------
 

@@ -102,6 +102,8 @@ class Frame:
         for i in range(n):
             table[u][i] = table[i][u] = i
         for (i, j), k in comp.items():
+            if not 0 <= k < n:
+                raise ModelError(f"composition {i}.{j} = {k} is outside the carrier")
             table[i][j] = table[j][i] = k
         self.table = tuple(map(tuple, table))
         # i -> (j, i . j) where defined, and r -> (i, j) with i . j = r
@@ -312,12 +314,6 @@ def validate_model(m: Model, logic: str = "erl") -> list[Violation]:
             out.append(Violation("Carrier", (r,), "missing signature resource"))
             return out
 
-    # commutativity holds by the canonical cell representation; check cells
-    for (i, j), k in sorted(m.comp.items()):
-        if not (0 <= k < n):
-            out.append(Violation("Table", (names[i], names[j]), "result outside carrier"))
-            return out
-
     # Kleene associativity (with commutativity this is definedness-invariance
     # of every three-way product)
     triple = associativity_witness(m.table, range(n), m.unit_i)
@@ -385,8 +381,7 @@ def star_compat_violation(m: Model | Frame) -> tuple | None:
 # JSON
 
 
-def model_to_json(m: Model, world: str | None = None,
-                  include_signature: bool = True) -> dict:
+def model_to_json(m: Model, world: str | None = None) -> dict:
     data = {
         "carrier": list(m.carrier),
         "unit": m.sig.unit,
@@ -396,11 +391,10 @@ def model_to_json(m: Model, world: str | None = None,
                   for a, pairs in sorted(m.equiv_pairs.items())},
         "valuation": {atom: m.mask_worlds(mask)
                       for atom, mask in sorted(m.valuation.items())},
+        "signature": signature_to_json(m.sig),
     }
     if world is not None:
         data["world"] = world
-    if include_signature:
-        data["signature"] = signature_to_json(m.sig)
     return data
 
 

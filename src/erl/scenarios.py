@@ -15,7 +15,6 @@ constrain models, so each scenario exhibits a minimal witnessing model
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .checker import WorldNotInCarrier, satisfies, valid_in_model
@@ -225,25 +224,6 @@ def _from_json(cls, data):
             raise ErlError(f"{f.name!r} of a query or replay step must be "
                            f"{f.type}, got {value!r}")
     return step
-
-
-def scenario_mutations(s: Scenario):
-    """Yield (description, scenario) with one listed equivalence pair or
-    composition triple removed; used to check the models are minimal."""
-    for mname, data in sorted(s.model_data.items()):
-        for i, row in enumerate(data.get("composition", [])):
-            mutated = json.loads(json.dumps(s.model_data))
-            del mutated[mname]["composition"][i]
-            yield (f"{mname}: drop composition {row}",
-                   Scenario(s.name, s.description, s.sig, mutated, s.queries,
-                            s.replay, s.logic))
-        for agent, pairs in sorted(data.get("equiv", {}).items()):
-            for i, pair in enumerate(pairs):
-                mutated = json.loads(json.dumps(s.model_data))
-                del mutated[mname]["equiv"][agent][i]
-                yield (f"{mname}: drop {agent}-pair {pair}",
-                       Scenario(s.name, s.description, s.sig, mutated, s.queries,
-                                s.replay, s.logic))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .closing import (F, T, SignedFormula, branch_witness, closing_witness,
                       describe_closure_witness)
-from .config import RunConfig, is_star
+from .config import Budget, RunConfig, is_star
 from .errors import NotHintikka, StaleInstance
 from .labels import (AgentEq, Closure, EPSILON, ResEq, fact_str, label,
                      label_str, lam, lmul, lsub, fresh_constant_name,
@@ -380,7 +380,7 @@ class ProofOutcome:
 
 class Tableau:
     def __init__(self, phi: Formula, sig: Signature, logic: str = "erl",
-                 closure_max_card: int | None = 6,
+                 closure_max_card: int = Budget.closure_max_card,
                  constant_limit: int | None = None, seed: int = 0):
         self.sig = sig
         self.logic = logic
@@ -480,7 +480,7 @@ class Tableau:
 
 
 def init_tableau(phi: Formula, sig: Signature, logic: str = "erl",
-                 closure_max_card: int | None = 6, seed: int = 0) -> Tableau:
+                 closure_max_card: int = Budget.closure_max_card, seed: int = 0) -> Tableau:
     return Tableau(phi, sig, logic, closure_max_card=closure_max_card, seed=seed)
 
 

@@ -1,16 +1,48 @@
 """Independent brute-force oracles the engine implementations are checked
-against.  Everything here is written for clarity, not speed.  The oracles
-share no code path with the modules under test, with two exceptions: the
-closure checks ``derived_rule_check`` and ``corollary_check`` read a closure
-through its public queries, and ``restart_prove``, iterative deepening by a
-new tableau per depth that ``prove``'s in-place deepening must match, runs
-on the same ``Tableau`` and outcome helpers."""
+against, and helpers only the tests need.  Everything here is written for
+clarity, not speed.  The oracles share no code path with the modules under
+test, with two exceptions: the closure checks ``derived_rule_check`` and
+``corollary_check`` read a closure through its public queries, and
+``restart_prove``, iterative deepening by a new tableau per depth that
+``prove``'s in-place deepening must match, runs on the same ``Tableau`` and
+outcome helpers."""
 
+from copy import deepcopy
+from dataclasses import replace
 from itertools import product
 
-from erl.labels import (EPSILON, Closure, fact_labels, fact_of, lmul, lsub,
-                        splits_of, sublabels)
+from erl.labels import (EPSILON, Closure, const_key, fact_labels, fact_of,
+                        lmul, lsub, splits_of, sublabels)
 from erl.tableaux import Tableau, _aggregate, _saturated
+
+
+def alphabet(cl: Closure) -> list:
+    """The constants of the closure's domain labels."""
+    return sorted({c for x in cl.domain() for c in x}, key=const_key)
+
+
+def res_facts(cl: Closure) -> list:
+    return [f[1:] for f in cl.facts() if f[0] == "r"]
+
+
+def agent_facts(cl: Closure) -> list:
+    return [f[1:] for f in cl.facts() if f[0] == "a"]
+
+
+def scenario_mutations(s):
+    """Yield (description, scenario) with one listed equivalence pair or
+    composition triple removed; used to check the models are minimal."""
+    for mname, data in sorted(s.model_data.items()):
+        for i, row in enumerate(data.get("composition", [])):
+            mutated = deepcopy(s.model_data)
+            del mutated[mname]["composition"][i]
+            yield f"{mname}: drop composition {row}", replace(s, model_data=mutated)
+        for agent, pairs in sorted(data.get("equiv", {}).items()):
+            for i, pair in enumerate(pairs):
+                mutated = deepcopy(s.model_data)
+                del mutated[mname]["equiv"][agent][i]
+                yield (f"{mname}: drop {agent}-pair {pair}",
+                       replace(s, model_data=mutated))
 
 
 def naive_closure(constraints, agents, erl_star=False, max_card=8):
@@ -154,7 +186,7 @@ def derived_rule_check(cl: Closure) -> list[tuple]:
     """Verify the five derivable rules on every stored fact; returns the
     violating instances (empty = all hold)."""
     bad = []
-    for (x, y) in cl.res_facts():
+    for (x, y) in res_facts(cl):
         for sub in sublabels(x):          # p_l
             if not cl.has_res(sub, sub):
                 bad.append(("p_l", (x, y), sub))
@@ -163,7 +195,7 @@ def derived_rule_check(cl: Closure) -> list[tuple]:
                 bad.append(("p_r", (x, y), sub))
     class_of, classes = cl.classes()
     linked: set = set()
-    for (u, x, y) in cl.agent_facts():
+    for (u, x, y) in agent_facts(cl):
         for sub in sublabels(x):          # q_l
             if not cl.has_res(sub, sub):
                 bad.append(("q_l", (u, x, y), sub))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -208,7 +209,7 @@ def test_usage_error_exit(sig_file, tmp_path, capsys, monkeypatch):
              "--countermodel-out", str(tmp_path / "cm.json")]
     # bad flag and ERL_* values: a one-line message, no traceback
     for flags, env in [(["--max-steps", "0"], {}),
-                       (["--carrier-bound", "0"], {}),
+                       (["--max-constants", "-1"], {}),
                        ([], {"ERL_MAX_STEPS": "abc"}),
                        ([], {"ERL_LOGIC": "bogus"})]:
         with monkeypatch.context() as m:
@@ -267,3 +268,60 @@ def test_malformed_scenario_exit(tmp_path, capsys):
         assert main(["scenario", "--file", str(path)]) == 65, bad
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# The setting flags each subcommand reads; it must refuse the others.
+SETTINGS = {"--logic", "--max-constants", "--max-steps", "--closure-budget",
+            "--carrier-bound", "--output", "--seed"}
+ACCEPTED = {
+    "prove": {"--logic", "--max-constants", "--max-steps", "--closure-budget",
+              "--seed", "--output"},
+    "check": {"--logic", "--output"},
+    "search": {"--logic", "--carrier-bound", "--output"},
+    "scenario": {"--output"},
+}
+GOOD_VALUE = {"--logic": "erl", "--output": "text", "--carrier-bound": "4",
+              "--max-constants": "8", "--max-steps": "100",
+              "--closure-budget": "6", "--seed": "0"}
+
+
+def command_argv(command, tmp_path):
+    """A valid invocation of ``command`` that writes only under tmp_path."""
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps(SIG))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"signature": SIG, "carrier": ["e", "r", "s"],
+                                 "composition": []}))
+    out = ["--countermodel-out", str(tmp_path / "cm.json")]
+    return {"prove": ["prove", "--sig", str(sig), "p -> p", *out],
+            "check": ["check", "--model", str(model), "top", "--at", "e"],
+            "search": ["search", "--sig", str(sig), "p -> p", *out],
+            "scenario": ["scenario", "joint-access"]}[command]
+
+
+@pytest.mark.parametrize("command, flag", sorted(
+    (c, f) for c, accepted in ACCEPTED.items() for f in SETTINGS - accepted))
+def test_unread_setting_is_refused(command, flag, tmp_path, capsys):
+    argv = command_argv(command, tmp_path)
+    assert main(argv) == 0
+    assert main(argv + [flag, GOOD_VALUE[flag]]) == 64
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("prove", "--logic", "bogus"), ("prove", "--output", "xml"),
+    ("prove", "--max-steps", "abc"), ("prove", "--closure-budget", "0"),
+    ("search", "--carrier-bound", "0"), ("check", "--logic", ""),
+    ("scenario", "--output", "xml")])
+def test_bad_setting_value_exit(command, flag, value, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(command_argv(command, tmp_path) + [flag, value]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}=") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_help_names_own_settings(command, capsys):
+    assert main([command, "--help"]) == 0
+    named = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert named & SETTINGS == ACCEPTED[command]

@@ -6,7 +6,8 @@ from erl.labels import (AgentEq, Closure, EPSILON, ResEq, _replay_step,
                         fact_str, label, label_of, label_str, lcontains, lmul,
                         lsub, splits_of, sublabels)
 
-from oracles import corollary_check, derived_rule_check, naive_closure
+from oracles import (agent_facts, alphabet, corollary_check, derived_rule_check,
+                     naive_closure)
 
 C1, C2, C3, C4 = label("c1"), label("c2"), label("c3"), label("c4")
 LS, LR = label("s"), label("r")
@@ -84,7 +85,7 @@ def test_domain_and_alphabet():
             facts_labels.update(sublabels(side))
     assert set(cl.domain()) == facts_labels == \
         {EPSILON, C1, C2, C3, lmul(C2, C3)}
-    assert cl.alphabet() == ["c1", "c2", "c3"]
+    assert alphabet(cl) == ["c1", "c2", "c3"]
     assert close([]).domain() == [EPSILON]
 
 
@@ -95,7 +96,7 @@ def test_alphabet_preserved_under_closure():
     for c in cs:
         for side in ((c.left, c.right)):
             base_alphabet.update(side)
-    assert set(cl.alphabet()) == base_alphabet
+    assert set(alphabet(cl)) == base_alphabet
 
 
 def test_erl_star_rule():
@@ -110,7 +111,7 @@ def test_compatibility_property_on_store():
     cl = close([AgentEq("u", C1, C2), ResEq(lmul(C2, C3), lmul(C2, C3))],
                erl_star=True)
     cap = cl.effective_card
-    for (u, x, y) in cl.agent_facts():
+    for (u, x, y) in agent_facts(cl):
         for w in cl.domain():
             k = lsub(w, y)
             if k is not None and len(lmul(x, k)) <= cap:

@@ -6,7 +6,7 @@ import pytest
 from erl import (Signature, enumerate_models, load_model, make_model,
                  model_to_json, sample_models, validate_model)
 from erl.errors import BudgetTooLarge, ModelError
-from erl.models import (BLOCK, DEFAULT_STREAM_CAP, enumerate_blocks,
+from erl.models import (BLOCK, DEFAULT_STREAM_CAP, Frame, enumerate_blocks,
                         estimate_stream, star_compat_violation)
 
 from oracles import count_models_bruteforce
@@ -220,3 +220,12 @@ def test_make_model_errors():
         make_model(sig, ["e", "s"], [("e", "s", "e")])  # e.s must be s
     with pytest.raises(ModelError):
         make_model(sig, ["e", "s"], [], {"zz": [("e", "s")]})  # unknown agent
+
+
+@pytest.mark.parametrize("k", [5, -1])
+def test_frame_rejects_cell_outside_carrier(k):
+    # a cell value past the carrier would index no world, and a negative
+    # one would wrap round to the last world
+    sig = Signature.make(["a"], ["e", "s"])
+    with pytest.raises(ModelError, match="outside the carrier"):
+        Frame(sig, ("e", "s"), {(1, 1): k}, {"a": [1, 2]}, {"a": []})

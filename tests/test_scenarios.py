@@ -6,7 +6,7 @@ from erl import (builtin_scenario, builtin_scenarios, load_scenario,
                  parse_formula, run_scenario, satisfies, scenario_to_json,
                  validate_model)
 from erl.errors import ErlError
-from erl.scenarios import scenario_mutations
+from oracles import scenario_mutations
 
 
 def test_builtin_names_and_order():
