@@ -11,8 +11,10 @@ modality (``syntax.UNIVERSAL``) holds where all its partners satisfy the
 body, the other three where some partner does.  A table is built once per
 frame and block, for the formula and each subformula, and kept on the
 frame (at most ``models.TABLES`` of them); a model's truth set is its
-column of the table.  ``satisfies``, ``valid_in_model`` and ``explain``
-read truth sets; ``find_countermodel`` reads whole tables.
+column of the table.  An enumerated frame is the call's own copy of a
+frame the process keeps (see ``models``), so its tables go with the call.
+``satisfies``, ``valid_in_model`` and ``explain`` read truth sets;
+``find_countermodel`` reads whole tables.
 
 ``satisfies_direct`` evaluates one world at a time, and the dual modalities
 by their direct clauses with definedness guards placed conjunctively (so
@@ -23,7 +25,9 @@ naive.
 ``find_countermodel`` is the brute-force oracle: it walks the frames and
 valuation blocks of the enumeration, decides each block at once from the
 formula's table, and returns the first model and world falsifying the
-formula.
+formula.  The frames and single-block valuations it reads are kept for
+the life of the process, so a process that searches many times enumerates
+each frame once; one search alone gains nothing.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@
     erl scenario NAME | --file S.json            exit 0 iff all expectations met
 
 Each subcommand accepts the setting flags it reads (see erl CMD --help) and
-no others; the ERL_* environment variables apply to all.  The carrier bound
-counts the signature's resources: a signature with more than 4 needs
---carrier-bound above the default 4.  Usage errors, unread or bad settings
-and unreadable files among them, exit with 64; data errors, a carrier bound
-below the resource count among them, 65.
+no others, each spelled in full; the ERL_* environment variables apply to
+all.  A scenario dump is JSON only, so --dump refuses --output text.  The
+carrier bound counts the signature's resources: a signature with more than
+4 needs --carrier-bound above the default 4.  Usage errors, unread or bad
+settings and unreadable files among them, exit with 64; data errors, a
+carrier bound below the resource count among them, 65.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ SETTINGS = {
 }
 
 
-def _emit(data: dict, cfg: RunConfig, text_lines: list[str]) -> None:
+def _emit(data: dict | list, cfg: RunConfig, text_lines: list[str]) -> None:
     if cfg.output == "json":
         print(json.dumps(data, sort_keys=True, separators=(",", ":")))
     else:
@@ -108,8 +109,9 @@ def cmd_search(args, cfg: RunConfig) -> int:
 
 def cmd_scenario(args, cfg: RunConfig) -> int:
     if args.list:
-        for s in builtin_scenarios():
-            print(f"{s.name}: {s.description}")
+        scenarios = builtin_scenarios()
+        _emit([{"name": s.name, "description": s.description} for s in scenarios],
+              cfg, [f"{s.name}: {s.description}" for s in scenarios])
         return 0
     if args.file:
         scenario = load_scenario(args.file)
@@ -118,6 +120,8 @@ def cmd_scenario(args, cfg: RunConfig) -> int:
     else:
         raise ErlError("give a scenario name or --file")
     if args.dump:
+        if args.output == "text":
+            raise ConfigError("--output='text': a scenario dump is JSON only")
         print(json.dumps(scenario_to_json(scenario), sort_keys=True, indent=2))
         return 0
     report = run_scenario(scenario)
@@ -130,7 +134,7 @@ def cmd_scenario(args, cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="erl", description=__doc__,
+    top = argparse.ArgumentParser(prog="erl", description=__doc__, allow_abbrev=False,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -162,6 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the scenario as JSON instead of running it")
     p.set_defaults(fn=cmd_scenario)
     for command, parser in sub.choices.items():
+        parser.allow_abbrev = False       # a flag only as registered, not a prefix
         for name in SETTINGS[command]:
             parser.add_argument(flag(name), metavar="|".join(CHOICES.get(name, ["N"])))
     return top
@@ -174,12 +179,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = resolve_config(vars(args))
+        return args.fn(args, resolve_config(vars(args)))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    try:
-        return args.fn(args, cfg)
     except ErlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA

@@ -24,23 +24,30 @@ frame, its valuation, and the block and column it sits in; it reads the
 frame's fields through.  All but ``enumerate_blocks`` build frames with a
 single valuation.  A model's valuation must not change once it has been
 evaluated: the tables would keep the old one.  Nor may an enumerated
-model's: its dict may be shared (see below).
+model's: its dict may be shared with other frames and other calls (see
+below).
 
 ``enumerate_blocks`` streams every frame over the signature's resources
 plus a bounded number of fresh worlds, modulo permutations of the fresh
 worlds, using backtracking over composition cells with incremental
 associativity pruning, each with its blocks of valuations; it is the
-ground truth the prover is checked against.  Within one call, frames with
-as many worlds and the same stabilizer share their block when all their
-valuations fit one, so models of different frames may share one valuation
-dict.  ``enumerate_models`` streams the models of those blocks, one per
-column; all models of one frame share one ``Frame``.
+ground truth the prover is checked against.  The frames depend on no
+formula, so the process remembers them per level: one signature, one
+number of fresh worlds and one logic, at most ``LEVELS`` levels, each
+grown only as far as some call has read it (``_level``).  Each call reads
+copies of the kept frames with evaluation tables of its own, so no table
+outlives the call.  Frames with as many worlds and the same stabilizer
+share their block when all their valuations fit one, also across calls
+(``_one_block``), so models of different frames and calls may share one
+valuation dict.  ``enumerate_models`` streams the models of those blocks,
+one per column; all models of one frame in one call share one ``Frame``.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cache
+from collections import OrderedDict
+from functools import cache, lru_cache
 from itertools import islice, permutations, product
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -68,7 +75,8 @@ class Frame:
     alone.  ``tables`` maps ``id(phi)`` to ``(phi, block, rows)``, the
     evaluation table of ``phi`` on one block of valuations (see
     ``checker``), at most ``TABLES`` of them; holding ``phi`` keeps its id
-    from being reused while the entry lives."""
+    from being reused while the entry lives.  The frames the process keeps
+    for enumeration hold None there: only their copies are evaluated."""
 
     __slots__ = ("sig", "carrier", "index", "n", "full_mask", "unit_i", "comp",
                  "table", "classmask", "equiv_pairs", "splits", "extensions",
@@ -114,6 +122,20 @@ class Frame:
             for j, k in ext:
                 splits[k].append((i, j))
         self.splits = tuple(map(tuple, splits))
+
+    def copy(self, sig: Signature) -> Frame:
+        """This frame over ``sig``, a signature equal to its own, with
+        evaluation tables of its own; everything else is shared."""
+        f = Frame.__new__(Frame)
+        (f.carrier, f.index, f.n, f.full_mask, f.unit_i, f.comp, f.table,
+         f.classmask, f.equiv_pairs, f.splits, f.extensions, f._tv,
+         f._partners) = (
+            self.carrier, self.index, self.n, self.full_mask, self.unit_i,
+            self.comp, self.table, self.classmask, self.equiv_pairs,
+            self.splits, self.extensions, self._tv, self._partners)
+        f.sig = sig
+        f.tables = {}
+        return f
 
     def compose_i(self, i: int, j: int) -> int | None:
         return self.table[i][j]
@@ -646,6 +668,92 @@ def estimate_stream(sig: Signature, max_extra: int, atoms: Iterable[str]) -> int
 
 DEFAULT_STREAM_CAP = 10 ** 9
 
+# Enumeration levels the process keeps, the least recently started dropped
+# first.  A level is the frames of one signature, fresh-world count and
+# logic (see ``_level``).
+LEVELS = 8
+
+# Single-block valuation streams the process keeps (see ``_one_block``).
+ONE_BLOCKS = 64
+
+
+class _Level:
+    """The frames of one level, each with its stabilizer, as far as some
+    call has read them; ``source`` extends them, and is None once they are
+    complete.  ``broken`` is set when ``source`` raised: the generator is
+    dead, so its frames are a prefix that no call may take for the whole."""
+
+    __slots__ = ("frames", "source", "broken")
+
+    def __init__(self, source: Iterator[tuple]):
+        self.frames: list = []
+        self.source = source
+        self.broken = False
+
+
+_levels: OrderedDict = OrderedDict()      # level key -> _Level
+
+
+def _level(sig: Signature, extra: int, star: bool) -> Iterator[tuple]:
+    """Stream ``(frame, stabilizer)`` for the frames of ``_level_frames``,
+    read from the process's memory and extending it as far as this call
+    reads.  An exception while extending drops the level, so that the next
+    call starts it again; a reader that held it moves to the new one."""
+    key = (sig.agents, sig.resources, sig.unit,
+           frozenset(sig.composition.items()), extra, star)
+    level = None
+    i = 0
+    while True:
+        if level is None or level.broken:
+            level = _levels.get(key)
+            if level is None:
+                level = _levels[key] = _Level(_level_frames(sig, extra, star))
+                if len(_levels) > LEVELS:
+                    _levels.popitem(last=False)
+            _levels.move_to_end(key)
+        if i < len(level.frames):
+            yield level.frames[i]
+            i += 1
+        elif level.source is None:
+            return
+        else:
+            try:
+                level.frames.append(next(level.source))
+            except StopIteration:
+                level.source = None
+            except BaseException:
+                level.broken = True
+                if _levels.get(key) is level:
+                    del _levels[key]
+                raise
+
+
+def _level_frames(sig: Signature, extra: int, star: bool) -> Iterator[tuple]:
+    """Stream ``(frame, stabilizer)`` for every frame with carrier Res plus
+    ``extra`` fresh worlds, up to permutation of the fresh worlds, in
+    enumeration order; in the compatible logic only compatible ones.  The
+    stabilizer lists the fresh-world permutations other than the identity
+    that fix the frame.  The frames hold no evaluation tables."""
+    agents = sorted(sig.agents)
+    for carrier, comp, stab in enumerate_prms(sig, extra):
+        parts = _partitions(len(carrier))
+        like = None
+        for assignment in product(parts, repeat=len(agents)):
+            if stab:
+                if any(tuple(_perm_rgs(r, p) for r in assignment) < assignment
+                       for p in stab):
+                    continue
+            classes = [_classes(r) for r in assignment]
+            frame = like = Frame(sig, carrier, comp,
+                                 {a: c[0] for a, c in zip(agents, classes)},
+                                 {a: c[1] for a, c in zip(agents, classes)},
+                                 like)
+            if star and star_compat_violation(frame) is not None:
+                continue
+            frame.tables = None
+            yield frame, tuple(p for p in stab
+                               if all(_perm_rgs(r, p) == r for r in assignment))
+
 
 def enumerate_blocks(sig: Signature, max_extra: int, atoms: Iterable[str],
                      logic: str = "erl") -> Iterator[tuple[Frame, Valuations]]:
@@ -653,48 +761,34 @@ def enumerate_blocks(sig: Signature, max_extra: int, atoms: Iterable[str],
     ``max_extra`` fresh worlds, up to permutation of the fresh worlds, and
     each block of at most ``BLOCK`` of its valuations, in enumeration order.
     In the compatible logic only compatibility-satisfying frames are
-    produced.  A frame whose valuations fit one block shares that block
-    with every frame of this call with as many worlds and the same
-    stabilizer: the valuation stream depends on nothing else.  A stream
-    ``estimate_stream`` puts above ``DEFAULT_STREAM_CAP`` raises
-    BudgetTooLarge."""
+    produced.  The frames come from the process's memory of each level
+    (``_level``), each as a copy of this call's own (``Frame.copy``).  A
+    frame whose valuations fit one block shares that block, across calls,
+    with every frame with as many worlds and the same stabilizer: the
+    valuation stream depends on nothing else.  A stream ``estimate_stream``
+    puts above ``DEFAULT_STREAM_CAP`` raises BudgetTooLarge."""
     star = is_star(logic)
-    atoms = sorted(set(atoms))
+    atoms = tuple(sorted(set(atoms)))
     if estimate_stream(sig, max_extra, atoms) > DEFAULT_STREAM_CAP:
         raise BudgetTooLarge(f"estimated stream exceeds cap {DEFAULT_STREAM_CAP}; "
                              f"restrict worlds or atoms")
-    agents = sorted(sig.agents)
-    shared: dict = {}                     # (n, stabilizer) -> [Valuations]
     for extra in range(max_extra + 1):
-        for carrier, comp, stab in enumerate_prms(sig, extra):
-            n = len(carrier)
-            parts = _partitions(n)
-            like = None
-            for assignment in product(parts, repeat=len(agents)):
-                if stab:
-                    if any(tuple(_perm_rgs(r, p) for r in assignment) < assignment
-                           for p in stab):
-                        continue
-                classes = [_classes(r) for r in assignment]
-                frame = like = Frame(sig, carrier, comp,
-                                     {a: c[0] for a, c in zip(agents, classes)},
-                                     {a: c[1] for a, c in zip(agents, classes)},
-                                     like)
-                if star and star_compat_violation(frame) is not None:
-                    continue
-                stab2 = [p for p in stab
-                         if all(_perm_rgs(r, p) == r for r in assignment)]
-                key = (n, tuple(stab2))
-                blocks = shared.get(key)
-                if blocks is None:
-                    blocks = _valuation_blocks(atoms, n, stab2)
-                    if 1 << n * len(atoms) <= BLOCK:
-                        blocks = shared[key] = list(blocks)
-                for block in blocks:
-                    yield frame, block
+        for kept, stab in _level(sig, extra, star):
+            frame = kept.copy(sig)
+            n = frame.n
+            blocks = (_one_block(atoms, n, stab) if 1 << n * len(atoms) <= BLOCK
+                      else _valuation_blocks(atoms, n, stab))
+            for block in blocks:
+                yield frame, block
 
 
-def _valuation_blocks(atoms: list, n: int, stab: list) -> Iterator[Valuations]:
+@lru_cache(maxsize=ONE_BLOCKS)
+def _one_block(atoms: tuple, n: int, stab: tuple) -> tuple[Valuations, ...]:
+    """``_valuation_blocks`` of a stream that fits one block, kept."""
+    return tuple(_valuation_blocks(atoms, n, stab))
+
+
+def _valuation_blocks(atoms: tuple, n: int, stab: tuple) -> Iterator[Valuations]:
     """The valuations of ``atoms`` over n worlds that are least in their
     orbit under ``stab``, a block of ``BLOCK`` at a time."""
     stream = product(range(1 << n), repeat=len(atoms))

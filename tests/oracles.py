@@ -11,9 +11,17 @@ from copy import deepcopy
 from dataclasses import replace
 from itertools import product
 
+from erl import models
 from erl.labels import (EPSILON, Closure, const_key, fact_labels, fact_of,
                         lmul, lsub, splits_of, sublabels)
 from erl.tableaux import Tableau, _aggregate, _saturated
+
+
+def forget_frames() -> None:
+    """Empty the process's memory of enumerated frames and valuation
+    blocks, so that the next enumeration starts cold."""
+    models._levels.clear()
+    models._one_block.cache_clear()
 
 
 def alphabet(cl: Closure) -> list:

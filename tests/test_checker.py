@@ -5,13 +5,14 @@ import pytest
 
 from erl import (Atom, Modal, Not, Signature, Top, Unit, CDUAL, C,
                  enumerate_models, expand_duals, find_countermodel,
-                 make_model, parse_formula, sample_models, satisfies,
+                 make_model, model_to_json, parse_formula, sample_models, satisfies,
                  satisfies_direct, term_of, truth_set, valid_in_model)
 from erl.checker import WorldNotInCarrier, explain
 from erl.models import TABLES
 from erl.syntax import MODAL_OPS, UNIVERSAL, atoms_of, subformulas
 
 from conftest import random_formula
+from oracles import forget_frames
 from test_models import paper_countermodel
 
 
@@ -266,3 +267,20 @@ def test_dropped_formulas_leave_no_stale_rows():
         del phi
     assert max(sizes) == TABLES
     assert sizes[-1] < TABLES
+
+
+def test_find_countermodel_same_cold_and_warm():
+    # The frames a search reads are kept for later calls; a warm search
+    # must return what a cold one does, and leave the kept frames bare.
+    sig = Signature.make(["a"], ["e", "r", "s"])
+    for logic in ("erl", "erl-star"):
+        for phi in differential_corpus(sig, 30, 17) + [
+                parse_formula("<D a; r> <D a; s> p -> <D a; s> p", sig)]:
+            runs = []
+            for _ in range(2):
+                forget_frames()
+                for _ in range(2):
+                    found = find_countermodel(phi, sig, 4, logic)
+                    runs.append(None if found is None
+                                else model_to_json(*found))
+            assert runs[1:] == runs[:1] * 3

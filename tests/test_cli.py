@@ -325,3 +325,36 @@ def test_help_names_own_settings(command, capsys):
     assert main([command, "--help"]) == 0
     named = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
     assert named & SETTINGS == ACCEPTED[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--sig", "/dev/null", "p", "--carrier", "3"],
+    ["prove", "--sig", "/dev/null", "p", "--max-const", "3"],
+    ["scenario", "joint-access", "--out", "json"]])
+def test_abbreviated_flag_is_refused(argv, capsys):
+    # only the registered spellings are flags; a prefix of one is not
+    assert main(argv) == 64
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+def test_scenario_list_follows_output(capsys):
+    code, text = run(capsys, "scenario", "--list")
+    assert code == 0
+    code, out = run(capsys, "scenario", "--list", "--output", "json")
+    assert code == 0
+    listed = json.loads(out)
+    assert [f"{s['name']}: {s['description']}" for s in listed] == \
+        text.splitlines()
+    assert all(set(s) == {"name", "description"} for s in listed)
+
+
+def test_scenario_dump_refuses_text_output(capsys):
+    code, out = run(capsys, "scenario", "joint-access", "--dump",
+                    "--output", "json")
+    assert code == 0 and json.loads(out)["name"] == "joint-access"
+    capsys.readouterr()
+    assert main(["scenario", "joint-access", "--dump", "--output", "text"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --output=") and \
+        captured.err.count("\n") == 1, captured.err

@@ -1,15 +1,17 @@
 import hashlib
 import json
+from itertools import islice, zip_longest
 
 import pytest
 
-from erl import (Signature, enumerate_models, load_model, make_model,
+from erl import (Signature, checker, models, parse_formula, enumerate_models, load_model, make_model,
                  model_to_json, sample_models, validate_model)
 from erl.errors import BudgetTooLarge, ModelError
-from erl.models import (BLOCK, DEFAULT_STREAM_CAP, Frame, enumerate_blocks,
-                        estimate_stream, star_compat_violation)
+from erl.models import (BLOCK, DEFAULT_STREAM_CAP, Frame, Model,
+                        enumerate_blocks, estimate_stream,
+                        star_compat_violation)
 
-from oracles import count_models_bruteforce
+from oracles import count_models_bruteforce, forget_frames
 
 
 def paper_countermodel():
@@ -229,3 +231,92 @@ def test_frame_rejects_cell_outside_carrier(k):
     sig = Signature.make(["a"], ["e", "s"])
     with pytest.raises(ModelError, match="outside the carrier"):
         Frame(sig, ("e", "s"), {(1, 1): k}, {"a": [1, 2]}, {"a": []})
+
+
+class Interrupt(BaseException):
+    pass
+
+
+def test_interrupted_level_is_enumerated_again(monkeypatch):
+    # An exception while a level is being extended kills its generator;
+    # the frames read so far must not pass for the whole level later.
+    sig = Signature.make(["a"], ["e", "r", "s"])
+    forget_frames()
+    full = len(list(enumerate_blocks(sig, 1, ["p"], "erl-star")))
+    assert full == 76
+    forget_frames()
+    calls = 0
+
+    def failing(frame):
+        nonlocal calls
+        calls += 1
+        if calls == 50:
+            raise Interrupt
+        return star_compat_violation(frame)
+
+    monkeypatch.setattr(models, "star_compat_violation", failing)
+    with pytest.raises(Interrupt):
+        list(enumerate_blocks(sig, 1, ["p"], "erl-star"))
+    assert len(list(enumerate_blocks(sig, 1, ["p"], "erl-star"))) == full
+    assert len(list(enumerate_blocks(sig, 1, ["p"], "erl-star"))) == full
+
+
+def test_reader_of_interrupted_level_reads_it_whole(monkeypatch):
+    # A stream that read part of a level before another call's extension
+    # of it failed goes on with the level enumerated again.
+    sig = Signature.make(["a"], ["e", "r", "s"])
+    forget_frames()
+    alone = [m.key() for m in enumerate_models(sig, 1, ["p"], "erl-star")]
+    forget_frames()
+    held = enumerate_models(sig, 1, ["p"], "erl-star")
+    keys = [next(held).key() for _ in range(3)]
+
+    def failing(frame):
+        raise Interrupt
+
+    monkeypatch.setattr(models, "star_compat_violation", failing)
+    with pytest.raises(Interrupt):
+        list(enumerate_models(sig, 1, ["p"], "erl-star"))
+    monkeypatch.undo()
+    assert keys + [m.key() for m in held] == alone
+
+
+def test_interleaved_streams_match_one_alone():
+    sig = Signature.make(["a"], ["e", "s"])
+    forget_frames()
+    alone = [m.key() for m in enumerate_models(sig, 2, ["p"], "erl")]
+    forget_frames()
+    first = enumerate_models(sig, 2, ["p"], "erl")
+    second = enumerate_models(sig, 2, ["p"], "erl")
+    got1, got2 = [], []
+    # the first stream runs ahead, then the second overtakes it
+    for m in islice(first, 500):
+        got1.append(m.key())
+    for m in islice(second, 3000):
+        got2.append(m.key())
+    for a, b in zip_longest(first, second):
+        if a is not None:
+            got1.append(a.key())
+        if b is not None:
+            got2.append(b.key())
+    assert got1 == alone
+    assert got2 == alone
+
+
+def test_calls_never_share_tables():
+    # Each call evaluates on copies of the kept frames with tables of their
+    # own; the kept frames hold none, also after a witness is returned.
+    sig = Signature.make(["a"], ["e", "s"])
+    phi = parse_formula("[C a; s] p -> p", sig)
+    tables = []
+    for _ in range(2):
+        seen = {}
+        for frame, block in enumerate_blocks(sig, 1, ["p"], "erl"):
+            seen[id(frame.tables)] = frame.tables
+            checker.truth_set(Model(frame, block.valuations[0], block), phi)
+        tables.append(seen)
+    assert not set(tables[0]) & set(tables[1])
+    m, _ = checker.find_countermodel(phi, sig, 3, "erl")
+    assert m.frame.tables
+    for level in models._levels.values():
+        assert all(kept.tables is None for kept, _ in level.frames)
