@@ -7,9 +7,11 @@ For the first ``COUNT`` formulas of each ``prove-corpus`` stream of
 ``perfbench/corpus.py`` at the seeds of ``SEEDS`` (agents a, b, resources
 e, r, s, logics alternating, default ``RunConfig``), prints one line
 
-    seed index verdict sha256
+    seed index verdict sha256 bare-sha256
 
-where sha256 is that of ``json.dumps(prove(...).to_json(), sort_keys=True)``.
+where sha256 is that of ``json.dumps(prove(...).to_json(), sort_keys=True)``
+and bare-sha256 that of the same JSON with every ``*_derivation`` field
+dropped, so that a change to derivation chains alone shows as such.
 Then, for the first ``COUNT`` formulas of each ``countermodel-search``
 stream at the same seeds (agent a, resources e, r, s, carrier bound 4,
 logics alternating), prints one line
@@ -24,8 +26,9 @@ seconds of wall time; one that reaches it prints ``seed index cap`` (or
 With ``--root`` the listing is made for the checkout holding this script
 and for CHECKOUT (such as the parent commit's), each from its own ``src/``
 and ``perfbench/``; the script then prints only the lines that differ, the
-checkout's line after this one's, then on stderr how many differ and how
-many reached the cap on each side, and exits 1 if any differ.  A formula
+checkout's line after this one's, then on stderr how many differ, how many
+of those differ only in derivations (in sha256 but not in bare-sha256) and
+how many reached the cap on each side, and exits 1 if any differ.  A formula
 near the cap can differ by timing alone, so each formula that reached it on
 one side only is first run again on both sides with ``RECHECK`` times the
 cap, and its new lines stand in for the old.
@@ -77,6 +80,23 @@ def _sha256(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
+def _without_derivations(data):
+    """``data`` with every ``*_derivation`` field dropped, at any depth."""
+    if isinstance(data, dict):
+        return {k: _without_derivations(v) for k, v in data.items()
+                if not k.endswith("_derivation")}
+    if isinstance(data, list):
+        return [_without_derivations(v) for v in data]
+    return data
+
+
+def _bare(line: str) -> str:
+    """A listing line without its full sha256: prove lines keep their
+    bare-sha256, the other lines are unchanged."""
+    parts = line.split()
+    return line if parts[0] == "search" else " ".join(parts[:3] + parts[4:])
+
+
 def _key(line: str) -> str:
     """The formula a listing line is about: "seed index" or "search seed index"."""
     parts = line.split()
@@ -105,7 +125,9 @@ def print_listing(only=()) -> None:
             if out is Cap:
                 print(seed, i, "cap", flush=True)
             else:
-                print(seed, i, out.verdict, _sha256(out.to_json()), flush=True)
+                data = out.to_json()
+                print(seed, i, out.verdict, _sha256(data),
+                      _sha256(_without_derivations(data)), flush=True)
     sig = Signature.make(["a"], ["e", "r", "s"])
     for seed in SEEDS:
         for i, text, logic in islice(formula_stream(seed, sig), COUNT):
@@ -168,7 +190,10 @@ def main() -> int:
     for a, b in differ:
         print(a)
         print(b)
-    print(f"{len(differ)} of {len(ours)} lines differ; {caps[0]} and {caps[1]} "
+    bare = sum(_bare(a) != _bare(b) for a, b in differ)
+    print(f"{len(differ)} of {len(ours)} lines differ, {bare} of them without "
+          f"derivations and {len(differ) - bare} in derivations only; "
+          f"{caps[0]} and {caps[1]} "
           f"formulas reached the cap, {len(flips)} on one side only (run again "
           f"with a {CAP_S * RECHECK:g} s cap)", file=sys.stderr)
     return 1 if differ else 0

@@ -23,6 +23,13 @@ and, when the compatible variant of the logic is selected,
 
     c_a: x ~[u] y, yk ~ yk      |- xk ~[u] yk
 
+The store fires c_r and c_a with single-constant k only, and the closure is
+the same set.  Given x ~ y with y.k in the domain, k = c1...cm, each
+y.c1...ci is in the domain by d_r, so c_r with ci alone gives
+x.c1...ci ~ y.c1...ci for i = 1..m in turn (likewise c_a).  No label of the
+chain is longer than x.k: each step fits the budget when x.k does, and the
+first step that does not is suppressed, as the composite instance would be.
+
 Saturation is budgeted by a maximum label cardinality: rule instances whose
 conclusion exceeds the budget are suppressed and a flag records the loss of
 completeness.  Every fact has a replayable derivation, built on demand.
@@ -191,7 +198,8 @@ class Closure:
     deriving x ~ x), its partition into resource classes (kind None) and,
     coarser, agent classes, and per kind a proof forest with one edge per
     union, holding the fact joined on with its rule and premises (after
-    Nieuwenhuis and Oliveras, RTA 2005).  Only d_r, c_r and c_a fire; the
+    Nieuwenhuis and Oliveras, RTA 2005).  Only d_r, c_r and c_a fire, the
+    last two with a single constant k (see the module docstring); the
     steps of the other rules are built from forest paths on demand.
 
     The store holds labels in normal form only (see the module docstring):
@@ -215,6 +223,7 @@ class Closure:
         self.erl_star = erl_star
         self._max_card_param = max_card
         self.base: list = []
+        self._base_facts: set = set()           # fact_of(c) for c in base
         self.budget_hit = False
         self._max_base_card = 0
         self.units = frozenset()                # constants c with c ~ eps
@@ -253,6 +262,7 @@ class Closure:
         self.effective_card = (2 + self._max_base_card if self._max_card_param is None
                                else max(self._max_card_param, self._max_base_card))
         self.base.extend(constraints)
+        self._base_facts.update(facts)
         for fact in facts:
             if not self._found:
                 self._insert(fact)
@@ -338,6 +348,7 @@ class Closure:
         other = Closure.__new__(Closure)
         other.__dict__.update(self.__dict__)
         other.base = list(self.base)
+        other._base_facts = set(self._base_facts)
         other._dom = dict(self._dom)
         other._root = {u: dict(d) for u, d in self._root.items()}
         other._members = {u: dict(d) for u, d in self._members.items()}
@@ -424,7 +435,7 @@ class Closure:
         flip an edge, and k_a turns a resource edge into an agent fact."""
         if fact not in self:
             raise KeyError(fact)
-        if any(fact_of(c) == fact for c in self.base):
+        if fact in self._base_facts:
             return ("base", ())
         if fact in self._steps:
             return self._steps[fact]
@@ -493,9 +504,12 @@ class Closure:
 
     # -- saturation --------------------------------------------------------
 
-    def _enter(self, x: Label, fact: tuple | None) -> None:
+    def _enter(self, x: Label, fact: tuple | None, fired: tuple | None = None) -> None:
         """Add x, brought in by ``fact`` (x on its left; None for eps), and
-        by d_r its sublabels; c_r and c_a fall due on each new label."""
+        by d_r its sublabels.  Each new label w is, for each distinct
+        constant c of w, a c-extension of w - c, and c_r and c_a fall due on
+        it, except ``fired``: the instance (u, y, k, w) whose conclusion
+        brought x in, and which is joined already."""
         dom = self._dom
         if x in dom:
             return
@@ -511,12 +525,16 @@ class Closure:
                 members[u][s] = (s,)
         kinds = tuple(roots) if self.erl_star else (None,)
         for w in new:
-            for y, k in splits_of(w):
-                for u in kinds if k else ():
+            for i, c in enumerate(w):
+                if i and c == w[i - 1]:
+                    continue
+                y, k = w[:i] + w[i + 1:], (c,)
+                for u in kinds:
                     r = roots[u][y]
                     w1 = exts[u].setdefault(r, {}).setdefault(k, w)
                     if w1 != w:
-                        due(u, (y,), k, w1)
+                        if (u, y, k, w1) != fired:
+                            due(u, (y,), k, w1)
                     elif len(members[u][r]) > 1:
                         # y.k = w itself is no news: only y's classmates
                         due(u, [m for m in members[u][r] if m != y], k, w)
@@ -563,7 +581,8 @@ class Closure:
                 self._queue.append((u, x, k, w))
 
     def _saturate(self) -> None:
-        """Fire due instances: x ~ y (or ~[u]) and w = y.k give x.k ~ w."""
+        """Fire due instances: x ~ y (or ~[u]) and w = y.c give x.c ~ w,
+        for a constant c."""
         queue, roots = self._queue, self._root
         while queue and not self._found:
             u, x, k, w = queue.popleft()
@@ -571,7 +590,7 @@ class Closure:
             root = roots[u]
             if xk not in root or root[xk] != root[w]:
                 fact = _fact(u, xk, w)
-                self._enter(xk, fact)
+                self._enter(xk, fact, (u, x, k, w))
                 self._union(u, xk, w, fact, "c_r" if u is None else "c_a",
                             (_fact(u, x, lsub(w, k)), ("r", w, w)))
         if self._found:
@@ -642,7 +661,7 @@ def _replay_step(cl: Closure, rule: str, premises: tuple, fact: tuple) -> bool:
         if p not in cl:
             return False
     if rule == "base":
-        return any(fact_of(c) == fact for c in cl.base)
+        return fact in cl._base_facts
     if rule == "eps":
         return fact == ("r", EPSILON, EPSILON)
     if rule == "s_r":

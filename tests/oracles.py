@@ -54,8 +54,15 @@ def scenario_mutations(s):
 
 
 def naive_closure(constraints, agents, erl_star=False, max_card=8):
-    """Fixpoint saturation by whole-relation rescans."""
+    """The facts of ``naive_saturation``."""
+    return naive_saturation(constraints, agents, erl_star, max_card)[0]
+
+
+def naive_saturation(constraints, agents, erl_star=False, max_card=8):
+    """Fixpoint saturation by whole-relation rescans: the facts, and whether
+    a c_r or c_a conclusion over the budget was dropped."""
     facts = {("r", EPSILON, EPSILON)}
+    dropped = False
     facts.update(fact_of(c) for c in constraints)
 
     def fits(fact):
@@ -84,6 +91,7 @@ def naive_closure(constraints, agents, erl_star=False, max_card=8):
                 k = lsub(w, y)
                 if k is not None:
                     new.add(("r", lmul(x, k), w))
+                    dropped |= len(x) + len(k) > max_card
         for (u, x, y) in ag:
             new.add(("a", u, y, x))                           # s_a
             new.add(("r", x, x))                              # k_r
@@ -98,11 +106,12 @@ def naive_closure(constraints, agents, erl_star=False, max_card=8):
                     k = lsub(w, y)
                     if k is not None:
                         new.add(("a", u, lmul(x, k), w))
+                        dropped |= len(x) + len(k) > max_card
         new = {f for f in new if fits(f)}
         if not new <= facts:
             facts |= new
             changed = True
-    return facts
+    return facts, dropped
 
 
 def count_models_bruteforce(n_extra, agents, atoms):

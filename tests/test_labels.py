@@ -7,7 +7,7 @@ from erl.labels import (AgentEq, Closure, EPSILON, ResEq, _replay_step,
                         lsub, splits_of, sublabels)
 
 from oracles import (agent_facts, alphabet, corollary_check, derived_rule_check,
-                     naive_closure)
+                     naive_closure, naive_saturation)
 
 C1, C2, C3, C4 = label("c1"), label("c2"), label("c3"), label("c4")
 LS, LR = label("s"), label("r")
@@ -183,6 +183,24 @@ def test_closure_matches_naive_oracle(seed, star):
     assert cl.replay() == []
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_budget_hit_matches_naive_oracle(seed, star):
+    # the flag is raised when saturating the base in normal form drops a
+    # c_r or c_a conclusion over the budget; one raised before a unit
+    # constant was found stays raised when the store is saturated again,
+    # so with unit constants the flag may only over-report
+    cs, agents = _random_constraints(random.Random(seed))
+    cl = Closure.close(cs, agents, erl_star=star, max_card=3)
+    normal = [_normal(cl, c) for c in cs]
+    _, dropped = naive_saturation(normal, agents, erl_star=star,
+                                  max_card=cl.effective_card)
+    if cl.units:
+        assert cl.budget_hit >= dropped
+    else:
+        assert cl.budget_hit == dropped
+
+
 def _normal(cl, c):
     if isinstance(c, ResEq):
         return ResEq(cl.nf(c.left), cl.nf(c.right))
@@ -205,6 +223,27 @@ def _replays(cl, fact):
     for i, step in enumerate(chain):
         assert all(p < i for p in step["premises"])
     return len(chain)
+
+
+def test_composite_extension_by_single_constant_steps():
+    # c1 ~ c2 and c2.r.s in the domain give c1.r.s ~ c2.r.s by c_r with
+    # k = r.s; the store fires c_r with one constant at a time, through
+    # c1.r ~ c2.r or c1.s ~ c2.s
+    cl = close([ResEq(C1, C2), ResEq(lmul(C2, LR, LS), lmul(C2, LR, LS))])
+    fact = ("r", lmul(C1, LR, LS), lmul(C2, LR, LS))
+    assert fact in cl
+    _replays(cl, fact)
+    todo, seen, extensions = [fact], set(), []
+    while todo:
+        f = todo.pop()
+        if f not in seen:
+            seen.add(f)
+            rule, premises = cl.derivation(f)
+            if rule == "c_r":
+                (_, _, y), (_, w, _) = premises
+                extensions.append(lsub(w, y))
+            todo.extend(premises)
+    assert extensions and all(len(k) == 1 for k in extensions)
 
 
 def test_unit_class_normal_form():
