@@ -9,10 +9,9 @@ ANDs over rows.  Every modality reads its partner worlds off
 ``Frame.partners``, which a modality and its dual share: a universal
 modality (``syntax.UNIVERSAL``) holds where all its partners satisfy the
 body, the other three where some partner does.  A table is built once per
-frame and block, for the formula and each subformula, and kept on the
-frame (at most ``models.TABLES`` of them); a model's truth set is its
-column of the table.  An enumerated frame is the call's own copy of a
-frame the process keeps (see ``models``), so its tables go with the call.
+frame and block, for the formula and each subformula, and kept with the
+models that read it (``Model.tables``, at most ``models.TABLES`` tables;
+see ``models``); a model's truth set is its column of the table.
 ``satisfies``, ``valid_in_model`` and ``explain`` read truth sets;
 ``find_countermodel`` reads whole tables.
 
@@ -58,24 +57,24 @@ class WorldNotInCarrier(ErlError):
 
 def truth_set(m: Model, phi: Formula, cache: dict | None = None) -> int:
     """Bitmask of worlds of ``m`` satisfying ``phi``: the model's column of
-    the formula's table on its frame.  ``cache`` is not read, as the frame
-    keeps the tables; the parameter stays for callers that pass one."""
+    the formula's table.  ``cache`` is not read, as the model keeps the
+    tables; the parameter stays for callers that pass one."""
     col = m.col
     out = 0
     bit = 1
-    for row in _rows(m.frame, m.block, phi):
+    for row in _rows(m.tables, m.frame, m.block, phi):
         if row >> col & 1:
             out |= bit
         bit <<= 1
     return out
 
 
-def _rows(f: Frame, block: Valuations, phi: Formula) -> tuple:
-    """The table of ``phi`` on ``block``: per world, the valuations of the
-    block under which ``phi`` holds there."""
-    hit = f.tables.get(id(phi))
-    if hit is not None and hit[1] is block:
-        return hit[2]
+def _rows(tables: dict, f: Frame, block: Valuations, phi: Formula) -> tuple:
+    """The table of ``phi`` on ``f`` and ``block``, kept in ``tables``: per
+    world, the valuations of the block under which ``phi`` holds there."""
+    hit = tables.get(id(phi))
+    if hit is not None:
+        return hit[1]
     full = block.full
     if isinstance(phi, Atom):
         out = block.atom_rows(phi.name, f.n)
@@ -86,34 +85,34 @@ def _rows(f: Frame, block: Valuations, phi: Formula) -> tuple:
     elif isinstance(phi, Unit):
         out = tuple(full if w == f.unit_i else 0 for w in range(f.n))
     elif isinstance(phi, Not):
-        out = tuple(full ^ x for x in _rows(f, block, phi.body))
-    elif isinstance(phi, And):
-        out = tuple(map(and_, _rows(f, block, phi.left), _rows(f, block, phi.right)))
-    elif isinstance(phi, Or):
-        out = tuple(map(or_, _rows(f, block, phi.left), _rows(f, block, phi.right)))
-    elif isinstance(phi, Implies):
-        out = tuple((full ^ x) | y for x, y in zip(_rows(f, block, phi.left),
-                                                   _rows(f, block, phi.right)))
-    elif isinstance(phi, Star):
-        sl, sr = _rows(f, block, phi.left), _rows(f, block, phi.right)
-        out = []
-        for splits in f.splits:
-            acc = 0
-            for (i, j) in splits:
-                acc |= sl[i] & sr[j]
-            out.append(acc)
-        out = tuple(out)
-    elif isinstance(phi, Wand):
-        sl, sr = _rows(f, block, phi.left), _rows(f, block, phi.right)
-        out = []
-        for extensions in f.extensions:
-            bad = 0
-            for (j, k) in extensions:
-                bad |= sl[j] & ~sr[k]
-            out.append(full ^ bad)
-        out = tuple(out)
+        out = tuple(full ^ x for x in _rows(tables, f, block, phi.body))
+    elif isinstance(phi, (And, Or, Implies, Star, Wand)):
+        sl = _rows(tables, f, block, phi.left)
+        sr = _rows(tables, f, block, phi.right)
+        if isinstance(phi, And):
+            out = tuple(map(and_, sl, sr))
+        elif isinstance(phi, Or):
+            out = tuple(map(or_, sl, sr))
+        elif isinstance(phi, Implies):
+            out = tuple((full ^ x) | y for x, y in zip(sl, sr))
+        elif isinstance(phi, Star):
+            out = []
+            for splits in f.splits:
+                acc = 0
+                for (i, j) in splits:
+                    acc |= sl[i] & sr[j]
+                out.append(acc)
+            out = tuple(out)
+        else:
+            out = []
+            for extensions in f.extensions:
+                bad = 0
+                for (j, k) in extensions:
+                    bad |= sl[j] & ~sr[k]
+                out.append(full ^ bad)
+            out = tuple(out)
     elif isinstance(phi, Modal):
-        body = _rows(f, block, phi.body)
+        body = _rows(tables, f, block, phi.body)
         universal = phi.op in UNIVERSAL
         out = []
         for partners in f.partners(phi):
@@ -131,9 +130,9 @@ def _rows(f: Frame, block: Valuations, phi: Formula) -> tuple:
         out = tuple(out)
     else:
         raise TypeError(f"not a formula: {phi!r}")
-    if len(f.tables) >= TABLES:
-        f.tables.clear()
-    f.tables[id(phi)] = (phi, block, out)
+    if len(tables) >= TABLES:
+        tables.clear()
+    tables[id(phi)] = (phi, out)
     return out
 
 
@@ -348,12 +347,13 @@ def find_countermodel(phi: Formula, sig, carrier_bound: int = RunConfig.carrier_
         raise ErlError(f"carrier bound {carrier_bound} is below the "
                        f"{len(sig.resources)} resources of the signature")
     for frame, block in enumerate_blocks(sig, max_extra, atoms_of(phi), logic):
-        rows = _rows(frame, block, phi)
+        tables = {}
+        rows = _rows(tables, frame, block, phi)
         valid = reduce(and_, rows)
         if valid == block.full:
             continue
         col = (~valid & valid + 1).bit_length() - 1    # lowest clear bit
         world = next(w for w, row in enumerate(rows) if not row >> col & 1)
-        return (Model(frame, block.valuations[col], block, col),
+        return (Model(frame, block.valuations[col], block, col, tables),
                 frame.carrier[world])
     return None

@@ -5,10 +5,10 @@ carrier extending the signature's resources, a partial
 commutative-associative composition with the unit as neutral element, and
 one equivalence relation per agent; it also holds everything derived from
 those alone: the world index, the dense composition table, and read off it
-the splits and extensions of each world, term values, the partner table of
-each modality, and the evaluation tables of ``checker.truth_set``.  A
-valuation maps each atom to a world set.  Worlds are referred to by name at
-the API surface; internally they are indexed and world sets are bitmasks.
+the splits and extensions of each world, term values and the partner table
+of each modality.  A valuation maps each atom to a world set.  Worlds are
+referred to by name at the API surface; internally they are indexed and
+world sets are bitmasks.
 
 Four builders make frames, each from index-level cells and agent classes:
 ``make_model`` from name-level data and ``hintikka.extract_model`` from a
@@ -20,12 +20,13 @@ their classes from ``_close_equiv``; ``enumerate_blocks`` and
 The valuations of a frame come in blocks (``Valuations``) of at most
 ``BLOCK``; bit v of an evaluation table's row stands for valuation v of the
 block, so one table serves every model of the block.  A ``Model`` is a
-frame, its valuation, and the block and column it sits in; it reads the
-frame's fields through.  All but ``enumerate_blocks`` build frames with a
-single valuation.  A model's valuation must not change once it has been
-evaluated: the tables would keep the old one.  Nor may an enumerated
-model's: its dict may be shared with other frames and other calls (see
-below).
+frame, its valuation, the block and column it sits in, and its table dict
+(``Model.tables``), which the models of one (frame, block) pair from
+``enumerate_models`` share; it reads the frame's fields through.  All but
+``enumerate_blocks`` build frames with a single valuation.  A model's
+valuation must not change once it has been evaluated: the tables would
+keep the old one.  Nor may an enumerated model's: its valuation dict may
+be shared with other frames and other calls (see below).
 
 ``enumerate_blocks`` streams every frame over the signature's resources
 plus a bounded number of fresh worlds, modulo permutations of the fresh
@@ -34,13 +35,13 @@ associativity pruning, each with its blocks of valuations; it is the
 ground truth the prover is checked against.  The frames depend on no
 formula, so the process remembers them per level: one signature, one
 number of fresh worlds and one logic, at most ``LEVELS`` levels, each
-grown only as far as some call has read it (``_level``).  Each call reads
-copies of the kept frames with evaluation tables of its own, so no table
-outlives the call.  Frames with as many worlds and the same stabilizer
-share their block when all their valuations fit one, also across calls
-(``_one_block``), so models of different frames and calls may share one
-valuation dict.  ``enumerate_models`` streams the models of those blocks,
-one per column; all models of one frame in one call share one ``Frame``.
+grown only as far as some call has read it (``_level``).  Each call is
+handed the kept frames as they are; they hold no evaluation tables, so no
+table outlives the models that read it.  Frames with as many worlds and the
+same stabilizer share their block when all their valuations fit one, also
+across calls (``_one_block``), so models of different frames and calls may
+share one valuation dict.  ``enumerate_models`` streams the models of
+those blocks, one per column.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from functools import cache, lru_cache
-from itertools import islice, permutations, product
+from itertools import accumulate, islice, permutations, product
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -64,7 +65,7 @@ _UNKNOWN = object()  # unassigned cell sentinel during enumeration
 # evaluated one block at a time, in enumeration order.
 BLOCK = 256
 
-# Evaluation tables a frame keeps.  A frame that would hold more drops
+# Evaluation tables a table dict keeps.  A dict that would hold more drops
 # them all and rebuilds what it reads again, so that a long-lived model
 # evaluated against ever new formulas stays bounded.
 TABLES = 4096
@@ -72,15 +73,13 @@ TABLES = 4096
 
 class Frame:
     """Carrier, composition and agent classes, and what depends on them
-    alone.  ``tables`` maps ``id(phi)`` to ``(phi, block, rows)``, the
-    evaluation table of ``phi`` on one block of valuations (see
-    ``checker``), at most ``TABLES`` of them; holding ``phi`` keeps its id
-    from being reused while the entry lives.  The frames the process keeps
-    for enumeration hold None there: only their copies are evaluated."""
+    alone.  It depends on no valuation and no formula, so the frames the
+    process keeps for enumeration are handed out as they are; their ``sig``
+    is the first caller's, equal to every later one's."""
 
     __slots__ = ("sig", "carrier", "index", "n", "full_mask", "unit_i", "comp",
                  "table", "classmask", "equiv_pairs", "splits", "extensions",
-                 "_tv", "_partners", "tables")
+                 "_tv", "_partners")
 
     def __init__(self, sig: Signature, carrier: tuple[str, ...], comp: dict,
                  classmask: dict, equiv_pairs: dict,
@@ -91,7 +90,6 @@ class Frame:
         self.classmask = classmask        # agent -> class bitmask per world
         self.equiv_pairs = equiv_pairs    # agent -> sorted generator pairs (indices)
         self._partners = {}
-        self.tables = {}
         if like is not None:
             # the same carrier and composition: share what derives from them
             (self.index, self.n, self.full_mask, self.unit_i, self.table,
@@ -122,20 +120,6 @@ class Frame:
             for j, k in ext:
                 splits[k].append((i, j))
         self.splits = tuple(map(tuple, splits))
-
-    def copy(self, sig: Signature) -> Frame:
-        """This frame over ``sig``, a signature equal to its own, with
-        evaluation tables of its own; everything else is shared."""
-        f = Frame.__new__(Frame)
-        (f.carrier, f.index, f.n, f.full_mask, f.unit_i, f.comp, f.table,
-         f.classmask, f.equiv_pairs, f.splits, f.extensions, f._tv,
-         f._partners) = (
-            self.carrier, self.index, self.n, self.full_mask, self.unit_i,
-            self.comp, self.table, self.classmask, self.equiv_pairs,
-            self.splits, self.extensions, self._tv, self._partners)
-        f.sig = sig
-        f.tables = {}
-        return f
 
     def compose_i(self, i: int, j: int) -> int | None:
         return self.table[i][j]
@@ -226,17 +210,21 @@ class Valuations:
 
 class Model:
     """A frame and one valuation, column ``col`` of the block ``block``.
-    The frame's fields and queries read through (``m.carrier``,
-    ``m.compose``, ...)."""
+    ``tables`` maps ``id(phi)`` to ``(phi, rows)``, at most ``TABLES`` of
+    them, the table of ``phi`` on frame and block (see ``checker``); ``phi``
+    keeps its id from reuse while the entry lives.  The frame's fields and
+    queries read through (``m.carrier``, ``m.compose``, ...)."""
 
-    __slots__ = ("frame", "valuation", "block", "col")
+    __slots__ = ("frame", "valuation", "block", "col", "tables")
 
     def __init__(self, frame: Frame, valuation: dict,
-                 block: Valuations | None = None, col: int = 0):
+                 block: Valuations | None = None, col: int = 0,
+                 tables: dict | None = None):
         self.frame = frame
         self.valuation = valuation        # atom -> bitmask
         self.block = Valuations([valuation]) if block is None else block
         self.col = col
+        self.tables = {} if tables is None else tables
 
     def atom_mask(self, atom: str) -> int:
         return self.valuation.get(atom, 0)
@@ -651,8 +639,18 @@ def enumerate_prms(sig: Signature, extra: int) -> Iterator[tuple]:
     yield from rec(0)
 
 
+@cache
+def _bell(n: int) -> int:
+    """The number of partitions of range(n), off the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[0]
+
+
 def estimate_stream(sig: Signature, max_extra: int, atoms: Iterable[str]) -> int:
-    """Loose upper bound on the number of models the enumeration may yield."""
+    """Loose upper bound on the number of models the enumeration may yield;
+    the sum stops as soon as it passes ``DEFAULT_STREAM_CAP``."""
     total = 0
     n_res = len(sig.resources)
     n_atoms = len(tuple(atoms))
@@ -660,9 +658,9 @@ def estimate_stream(sig: Signature, max_extra: int, atoms: Iterable[str]) -> int
     for extra in range(max_extra + 1):
         n = n_res + extra
         cells = n * (n + 1) // 2 - n  # non-unit unordered pairs
-        tables = (n + 1) ** max(cells, 0)
-        bell = len(_partitions(n))
-        total += tables * bell ** n_agents * (1 << (n * n_atoms))
+        total += (n + 1) ** cells * _bell(n) ** n_agents * (1 << (n * n_atoms))
+        if total > DEFAULT_STREAM_CAP:
+            return total
     return total
 
 
@@ -733,7 +731,7 @@ def _level_frames(sig: Signature, extra: int, star: bool) -> Iterator[tuple]:
     ``extra`` fresh worlds, up to permutation of the fresh worlds, in
     enumeration order; in the compatible logic only compatible ones.  The
     stabilizer lists the fresh-world permutations other than the identity
-    that fix the frame.  The frames hold no evaluation tables."""
+    that fix the frame."""
     agents = sorted(sig.agents)
     for carrier, comp, stab in enumerate_prms(sig, extra):
         parts = _partitions(len(carrier))
@@ -750,7 +748,6 @@ def _level_frames(sig: Signature, extra: int, star: bool) -> Iterator[tuple]:
                                  like)
             if star and star_compat_violation(frame) is not None:
                 continue
-            frame.tables = None
             yield frame, tuple(p for p in stab
                                if all(_perm_rgs(r, p) == r for r in assignment))
 
@@ -761,20 +758,19 @@ def enumerate_blocks(sig: Signature, max_extra: int, atoms: Iterable[str],
     ``max_extra`` fresh worlds, up to permutation of the fresh worlds, and
     each block of at most ``BLOCK`` of its valuations, in enumeration order.
     In the compatible logic only compatibility-satisfying frames are
-    produced.  The frames come from the process's memory of each level
-    (``_level``), each as a copy of this call's own (``Frame.copy``).  A
-    frame whose valuations fit one block shares that block, across calls,
-    with every frame with as many worlds and the same stabilizer: the
-    valuation stream depends on nothing else.  A stream ``estimate_stream``
-    puts above ``DEFAULT_STREAM_CAP`` raises BudgetTooLarge."""
+    produced.  The frames come as they are from the process's memory of
+    each level (``_level``).  A frame whose valuations fit one block shares
+    that block, across calls, with every frame with as many worlds and the
+    same stabilizer: the valuation stream depends on nothing else.  A
+    stream ``estimate_stream`` puts above ``DEFAULT_STREAM_CAP`` raises
+    BudgetTooLarge."""
     star = is_star(logic)
     atoms = tuple(sorted(set(atoms)))
     if estimate_stream(sig, max_extra, atoms) > DEFAULT_STREAM_CAP:
         raise BudgetTooLarge(f"estimated stream exceeds cap {DEFAULT_STREAM_CAP}; "
                              f"restrict worlds or atoms")
     for extra in range(max_extra + 1):
-        for kept, stab in _level(sig, extra, star):
-            frame = kept.copy(sig)
+        for frame, stab in _level(sig, extra, star):
             n = frame.n
             blocks = (_one_block(atoms, n, stab) if 1 << n * len(atoms) <= BLOCK
                       else _valuation_blocks(atoms, n, stab))
@@ -803,10 +799,12 @@ def _valuation_blocks(atoms: tuple, n: int, stab: tuple) -> Iterator[Valuations]
 def enumerate_models(sig: Signature, max_extra: int, atoms: Iterable[str],
                      logic: str = "erl") -> Iterator[Model]:
     """Stream every model of ``enumerate_blocks``: the models of one frame
-    come one after the other and share its ``Frame``."""
+    come one after the other and share its ``Frame``, and those of one
+    (frame, block) pair one table dict."""
     for frame, block in enumerate_blocks(sig, max_extra, atoms, logic):
+        tables = {}
         for col, val in enumerate(block.valuations):
-            yield Model(frame, val, block, col)
+            yield Model(frame, val, block, col, tables)
 
 
 # random models drawn by sample_models before it gives up on ``count``

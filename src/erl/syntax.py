@@ -530,14 +530,14 @@ def _parse_modal(toks, sig) -> Formula:
     if agent not in sig.agents:
         raise UnknownAgentError(agent)
     toks.expect(";")
-    names = [toks.next()]
+    read = [(toks.pos(), toks.next())]    # (position, name) as each is read
     while toks.peek() == ".":
         toks.next()
-        names.append(toks.next())
-    for n in names:
+        read.append((toks.pos(), toks.next()))
+    for pos, n in read:
         if not _NAME.match(n):
-            raise ParseError(f"expected resource name, got {n!r}", toks.pos())
-    term = term_of(names, sig)
+            raise ParseError(f"expected resource name, got {n!r}", pos)
+    term = term_of([n for _, n in read], sig)
     toks.expect(closing)
     return Modal(op, agent, term, _parse_unary(toks, sig))
 

@@ -250,9 +250,9 @@ def test_find_countermodel_matches_naive_scan():
 
 
 def test_dropped_formulas_leave_no_stale_rows():
-    # A formula's id may be reused once the formula is freed; the frame's
+    # A formula's id may be reused once the formula is freed; the model's
     # tables must not serve the old formula's rows for a new one.  The loop
-    # runs past TABLES formulas, so the frame also drops its tables on the
+    # runs past TABLES formulas, so the model also drops its tables on the
     # way, and must hold no more than TABLES of them at any point.
     sig = Signature.make(["a"], ["e", "s"])
     m, _ = find_countermodel(parse_formula("p -> [C a; s] p", sig), sig, 3,
@@ -263,15 +263,15 @@ def test_dropped_formulas_leave_no_stale_rows():
     for k in range(TABLES + 300):
         phi = Not(shapes[k % len(shapes)])
         assert_agrees(m, phi)
-        sizes.append(len(m.frame.tables))
+        sizes.append(len(m.tables))
         del phi
     assert max(sizes) == TABLES
     assert sizes[-1] < TABLES
 
 
 def test_find_countermodel_same_cold_and_warm():
-    # The frames a search reads are kept for later calls; a warm search
-    # must return what a cold one does, and leave the kept frames bare.
+    # The frames a search reads are kept for later calls; a warm search,
+    # handed the very frames the cold one read, must return what it did.
     sig = Signature.make(["a"], ["e", "r", "s"])
     for logic in ("erl", "erl-star"):
         for phi in differential_corpus(sig, 30, 17) + [

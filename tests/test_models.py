@@ -7,7 +7,7 @@ import pytest
 from erl import (Signature, checker, models, parse_formula, enumerate_models, load_model, make_model,
                  model_to_json, sample_models, validate_model)
 from erl.errors import BudgetTooLarge, ModelError
-from erl.models import (BLOCK, DEFAULT_STREAM_CAP, Frame, Model,
+from erl.models import (BLOCK, DEFAULT_STREAM_CAP, Frame,
                         enumerate_blocks, estimate_stream,
                         star_compat_violation)
 
@@ -149,7 +149,7 @@ def test_enumerate_star_all_compatible():
     assert n > 0
 
 
-def test_enumerate_budget_guard():
+def test_enumerate_budget_guard(monkeypatch):
     # four fresh worlds and three atoms put the estimate near 1e14, past
     # the default cap; three fresh worlds stay below it (about 9.6e8)
     sig = Signature.make(["a"], ["e"])
@@ -157,6 +157,20 @@ def test_enumerate_budget_guard():
     assert estimate_stream(sig, 3, atoms) <= DEFAULT_STREAM_CAP
     with pytest.raises(BudgetTooLarge):
         next(enumerate_models(sig, 4, atoms, "erl"))
+    # Large carrier bounds are refused without building their partitions:
+    # Bell(13) alone is 27.6 million of them.
+    partitions = models._partitions
+
+    def small_partitions(n):
+        if n > 8:
+            raise AssertionError(f"built the partitions of {n} worlds")
+        return partitions(n)
+
+    monkeypatch.setattr(models, "_partitions", small_partitions)
+    sig = Signature.make(["a"], ["e", "r", "s"])
+    for bound in (12, 13, 40):
+        with pytest.raises(BudgetTooLarge):
+            next(enumerate_models(sig, bound - len(sig.resources), ["p"], "erl"))
 
 
 def test_sampling_fallback_validates():
@@ -304,19 +318,34 @@ def test_interleaved_streams_match_one_alone():
 
 
 def test_calls_never_share_tables():
-    # Each call evaluates on copies of the kept frames with tables of their
-    # own; the kept frames hold none, also after a witness is returned.
+    # The kept frames are handed out as they are and hold no tables.  The
+    # models of one (frame, block) pair share one table dict; those of
+    # another block or another call have their own, and so does a witness.
+    # Three atoms give the three-world frames two blocks each.
     sig = Signature.make(["a"], ["e", "s"])
-    phi = parse_formula("[C a; s] p -> p", sig)
-    tables = []
+    phi = parse_formula("[C a; s] (p | q) -> r", sig)
+    calls = []
     for _ in range(2):
-        seen = {}
-        for frame, block in enumerate_blocks(sig, 1, ["p"], "erl"):
-            seen[id(frame.tables)] = frame.tables
-            checker.truth_set(Model(frame, block.valuations[0], block), phi)
-        tables.append(seen)
-    assert not set(tables[0]) & set(tables[1])
-    m, _ = checker.find_countermodel(phi, sig, 3, "erl")
-    assert m.frame.tables
+        groups = []                   # (frame, block, tables), held alive
+        for m in enumerate_models(sig, 1, ["p", "q", "r"], "erl"):
+            if groups and groups[-1][:2] == (m.frame, m.block):
+                assert m.tables is groups[-1][2]
+            else:
+                groups.append((m.frame, m.block, m.tables))
+            checker.truth_set(m, phi)
+            assert id(phi) in m.tables
+        assert len({id(t) for _, _, t in groups}) == len(groups)
+        assert len({id(b) for _, b, _ in groups}) > len({id(f) for f, _, _ in groups})
+        calls.append(groups)
+    first, second = calls
+    assert [f for f, _, _ in first] == [f for f, _, _ in second]
+    assert all(a is b for (a, _, _), (b, _, _) in zip(first, second))
+    assert not {id(t) for _, _, t in first} & {id(t) for _, _, t in second}
+    witnesses = [checker.find_countermodel(phi, sig, 3, "erl")[0]
+                 for _ in range(2)]
+    assert witnesses[0].tables and witnesses[0].tables is not witnesses[1].tables
+    assert witnesses[0].frame is witnesses[1].frame
+    held = {id(t) for groups in calls for _, _, t in groups}
+    assert not {id(w.tables) for w in witnesses} & held
     for level in models._levels.values():
-        assert all(kept.tables is None for kept, _ in level.frames)
+        assert not any(hasattr(kept, "tables") for kept, _ in level.frames)

@@ -14,6 +14,19 @@ from conftest import random_formula
 from oracles import check_signature_axioms
 
 
+@pytest.mark.parametrize("text,position", [
+    # inside a modality's term: the offending token itself
+    ("[C a; ] p", 6), ("[C a; e.] p", 8), ("[C a; r.(] p", 8),
+    ("<D a; r.s.> q", 10), ("[C a; ;] p", 6),
+    # elsewhere
+    ("p q", 2), ("((p)", 4), ("[X a; e] p", 1), ("[C a e] p", 5)])
+def test_parse_error_position(text, position):
+    sig = Signature.make(["a"], ["e", "r", "s"])
+    with pytest.raises(ParseError) as err:
+        parse_formula(text, sig)
+    assert err.value.position == position
+
+
 def test_parse_identity(sig_a):
     assert parse_formula("p -> p", sig_a) == Implies(Atom("p"), Atom("p"))
 
