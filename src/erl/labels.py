@@ -198,9 +198,12 @@ class Closure:
     deriving x ~ x), its partition into resource classes (kind None) and,
     coarser, agent classes, and per kind a proof forest with one edge per
     union, holding the fact joined on with its rule and premises (after
-    Nieuwenhuis and Oliveras, RTA 2005).  Only d_r, c_r and c_a fire, the
-    last two with a single constant k (see the module docstring); the
-    steps of the other rules are built from forest paths on demand.
+    Nieuwenhuis and Oliveras, RTA 2005).  The forest is oriented toward its
+    roots: a union re-roots the smaller side's tree at its endpoint and hangs
+    it below the other endpoint.  Only d_r, c_r and c_a fire, the last two
+    with a single constant k (see the module docstring); the steps of the
+    other rules are built on demand from the last edge of a forest path,
+    read off by walking parents.
 
     The store holds labels in normal form only (see the module docstring):
     every query normalizes its labels first, which costs one truth test
@@ -228,7 +231,6 @@ class Closure:
         self._max_base_card = 0
         self.units = frozenset()                # constants c with c ~ eps
         self._steps: dict = {}                  # kept steps: fact -> (rule, premises)
-        self._steps_owned = True                # False while shared with a clone
         self._found: list = []                  # constants a union just put in eps's class
         self.effective_card = 2 if max_card is None else max_card  # label budget
         self._reset()
@@ -240,7 +242,7 @@ class Closure:
         self._root: dict = {u: {} for u in (None, *self.agents)}  # x -> root
         self._members: dict = {u: {} for u in self._root}     # root -> labels
         self._ext: dict = {u: {} for u in self._root}   # root -> {k: y.k}, if any
-        self._adj: dict = {u: {} for u in self._root}   # x -> ((y, edge), ...)
+        self._up: dict = {u: {} for u in self._root}    # x -> (parent, edge)
         self._queue: deque = deque()            # due c_r/c_a: (kind, x, k, w)
         self._enter(EPSILON, None)
 
@@ -292,9 +294,6 @@ class Closure:
     def _normal_base(self, u: str | None, a: Label, b: Label) -> tuple:
         """Keep steps deriving nf(a) ~ nf(b) (or ~[u]) from the base fact
         a ~ b; returns that fact."""
-        if not self._steps_owned:
-            self._steps = dict(self._steps)
-            self._steps_owned = True
         steps, base = self._steps, _fact(u, a, b)
         steps.setdefault(base, ("base", ()))
         flip = _fact(u, b, a)
@@ -354,9 +353,9 @@ class Closure:
         other._members = {u: dict(d) for u, d in self._members.items()}
         other._ext = {u: {r: dict(e) for r, e in d.items()}
                       for u, d in self._ext.items()}
-        other._adj = {u: dict(d) for u, d in self._adj.items()}
+        other._up = {u: dict(d) for u, d in self._up.items()}
+        other._steps = dict(self._steps)
         other._queue = deque()
-        self._steps_owned = other._steps_owned = False
         return other
 
     # -- queries -----------------------------------------------------------
@@ -431,8 +430,10 @@ class Closure:
         """(rule, premises) of the last step deriving a fact of the closure:
         a kept step, a step from facts with fewer unit constants, a step from
         the domain, by r_a, or along the fact's forest path, whose edges are
-        no newer than the fact.  t_r/t_a split off the last edge, s_r/s_a
-        flip an edge, and k_a turns a resource edge into an agent fact."""
+        no newer than the fact.  t_r/t_a split off the last edge v-y: the
+        edge to y from its child on the walk up from x, or y's own parent
+        edge when that walk misses y.  s_r/s_a flip an edge, and k_a turns a
+        resource edge into an agent fact."""
         if fact not in self:
             raise KeyError(fact)
         if fact in self._base_facts:
@@ -444,11 +445,12 @@ class Closure:
             return step
         if x == y:
             return self._dom[x] if u is None else ("r_a", (("r", x, x),))
-        path = _forest_path(self._adj[u], x, y)
-        if len(path) > 1:
-            v = path[-1][0]
+        up, v = self._up[u], x
+        while v in up and up[v][0] != y:
+            v = up[v][0]
+        v, (edge, rule, premises) = (v, up[v][1]) if v in up else up[y]
+        if v != x:
             return ("t_r" if u is None else "t_a", (_fact(u, x, v), _fact(u, v, y)))
-        edge, rule, premises = path[0][2]
         if edge[0] == "r" and u is not None:
             return ("k_a", (("a", u, y, y), ("r", y, x)))
         if fact_labels(edge) == (x, y):
@@ -546,17 +548,21 @@ class Closure:
         constant c in eps's class stops here and leaves c in ``_found``."""
         edge = (fact, rule, premises)
         for v in (u,) if u is not None else self._root:
-            members, adj, root = self._members[v], self._adj[v], self._root[v]
+            members, up, root = self._members[v], self._up[v], self._root[v]
             ra, rb = sorted((root[a], root[b]), key=lambda r: -len(members[r]))
             if ra == rb:
                 continue
+            # re-root the smaller tree at its endpoint and hang it below the other
+            x, link = (a, (b, edge)) if root[a] == rb else (b, (a, edge))
+            while link is not None:
+                up[x], link = link, up.get(x)
+                if link is not None:
+                    x, link = link[0], (x, link[1])
             eps = root[EPSILON] if v is None else None
             ma, mb = members[ra], members.pop(rb)
             root.update(dict.fromkeys(mb, ra))
             members[ra] = ma + mb
             self._facts += 2 * len(ma) * len(mb)
-            adj[a] = adj.get(a, ()) + ((b, edge),)
-            adj[b] = adj.get(b, ()) + ((a, edge),)
             if eps in (ra, rb):
                 found = [x[0] for x in (mb if eps == ra else ma) if len(x) == 1]
                 if found:
@@ -599,14 +605,13 @@ class Closure:
     def _renormalize(self) -> None:
         """Move the constants in ``_found`` to ``units``, keeping the steps
         that derive c ~ eps for each, and saturate again from ``base``."""
-        steps = dict(self._steps)
+        steps = self._steps
         todo = [("r", (c,), EPSILON) for c in self._found]
         while todo:
             fact = todo.pop()
             if fact not in steps:
                 steps[fact] = step = self.derivation(fact)
                 todo.extend(step[1])
-        self._steps, self._steps_owned = steps, True
         self.units = self.units.union(self._found)
         self._found = []
         self._reset()
@@ -614,23 +619,6 @@ class Closure:
             if not self._found:
                 self._insert(fact_of(c))
         self._saturate()
-
-
-def _forest_path(adj: dict, x: Label, y: Label) -> list:
-    """The steps (label, next label, edge) of the path from x to y in a
-    forest given as label -> ((neighbour, edge), ...)."""
-    prev = {x: None}
-    todo = [x]
-    for v in todo:
-        for n, edge in adj.get(v, ()):
-            if n not in prev:
-                prev[n] = (v, n, edge)
-                todo.append(n)
-    path = []
-    while prev[y] is not None:
-        path.append(prev[y])
-        y = prev[y][0]
-    return path[::-1]
 
 
 def modal_source(phi: Modal, x: Label) -> Label:

@@ -128,6 +128,13 @@ def test_explain_witnesses():
     assert j.witness["partner"] in ("c2", "c1.s")
     j = explain(m, "c1.s", parse_formula("p * top", m.sig))
     assert j.verdict and j.witness["split"] == ["c1.s", "e"]
+    j = explain(m, "c1", parse_formula("p * top", m.sig))
+    assert not j.verdict and j.witness["splits_checked"] == [["e", "c1"], ["c1", "e"]]
+    j = explain(m, "c2", parse_formula("!p", m.sig))
+    assert not j.verdict and [b["verdict"] for b in j.witness["because"]] == [True]
+    j = explain(m, "c1", parse_formula("top -* !p", m.sig))
+    assert not j.verdict and j.witness["extension"] == ["s", "c1.s"]
+    assert [b["world"] for b in j.witness["because"]] == ["s", "c1.s"]
 
 
 @pytest.mark.parametrize("term", ["e", "r", "s", "r.s"])

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from erl import (Atom, RunConfig, Signature, Star, parse_formula, prove)
+from erl import (Atom, RunConfig, Signature, Star, find_countermodel,
+                 parse_formula, prove)
 from erl.errors import NotHintikka
 from erl.hintikka import (build_index, extract_model, is_hintikka,
                           verify_extraction)
@@ -189,6 +190,21 @@ def test_verify_extraction_catches_tampering():
     model.valuation["p"] = 0  # erase the valuation
     failure = verify_extraction(model, formulas, index, "erl")
     assert failure is not None and failure["kind"] == "forcing-failure"
+
+
+@pytest.mark.parametrize("logic", ["erl", "erl-star"])
+@pytest.mark.parametrize("text", ["[C a; r.s] p -> [C a; t] p",
+                                  "[C a; t] p -> [C a; r.s] p"])
+def test_invalid_extraction_is_never_a_refutation(text, logic):
+    # the prover does not read the signature's r.s = t, so the model read
+    # off an open branch can break it; the check turns that into no verdict
+    sig = Signature.make(["a"], ["e", "r", "s", "t"], "e", [("r", "s", "t")])
+    phi = parse_formula(text, sig)
+    out = prove(phi, sig, RunConfig(logic=logic))
+    assert not out.refuted
+    if not out.proved:
+        assert "invalid-model" in " ".join(out.diagnostics["branch_states"])
+    assert find_countermodel(phi, sig, 4, logic) is None
 
 
 def test_extracted_countermodels_load_back_from_json():

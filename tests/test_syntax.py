@@ -167,3 +167,7 @@ def test_signature_json_roundtrip(sig_st):
     assert sig2 == sig_st
     with pytest.raises(SignatureError):
         load_signature({"agents": ["a"], "resources": ["e", "a"]})
+    with pytest.raises(SignatureError, match="row mentions undeclared names"):
+        load_signature({"resources": ["e", "r"], "composition": [["r", "x", "r"]]})
+    with pytest.raises(SignatureError, match="agent names must be identifiers"):
+        load_signature({"agents": ["1a"], "resources": ["e"]})

@@ -186,11 +186,16 @@ def test_closure_budget_degrades_to_unknown(sig_bbi):
         out.diagnostics.get("steps_exhausted")
 
 
-def test_prove_unknown_on_starved_budget(sig_a):
-    out = prove(parse_formula("p * q -> q * p", sig_a), sig_a,
-                cfg(max_constants=0))
+@pytest.mark.parametrize("budget, flag", [({"max_constants": 0}, "starved"),
+                                          ({"max_steps": 1}, "steps_exhausted")],
+                         ids=["starved", "steps_exhausted"])
+def test_prove_unknown_on_starved_budget(sig_a, budget, flag):
+    out = prove(parse_formula("p * q -> q * p", sig_a), sig_a, cfg(**budget))
     assert out.verdict == "unknown"
-    assert out.diagnostics.get("starved")
+    assert out.diagnostics.get(flag)
+    if flag == "steps_exhausted":
+        assert out.applications == 1
+        assert out.diagnostics["closure_budget_hit"] is False
 
 
 def test_prove_refuted_verifies_model(sig_a):
