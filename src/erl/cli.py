@@ -35,8 +35,7 @@ EX_DATA = 65
 
 # The settings each subcommand reads, as strings for resolve_config to parse
 SETTINGS = {
-    "prove": ("logic", "max_constants", "max_steps", "closure_budget", "seed",
-              "output"),
+    "prove": ("logic", "max_constants", "max_steps", "closure_budget", "output"),
     "check": ("logic", "output"),
     "search": ("logic", "carrier_bound", "output"),
     "scenario": ("output",),

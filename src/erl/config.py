@@ -52,7 +52,6 @@ class RunConfig:
     budget: Budget = field(default_factory=Budget)
     carrier_bound: int = 4
     output: str = "text"
-    seed: int = 0
 
     def __post_init__(self):
         is_star(self.logic)
@@ -65,7 +64,7 @@ class RunConfig:
 # Override names: the flag is --max-steps for max_steps, the variable
 # ERL_MAX_STEPS.  Budget fields are set on RunConfig.budget.
 _OPTIONS = ("max_constants", "max_steps", "closure_budget", "carrier_bound",
-            "seed", "logic", "output")
+            "logic", "output")
 _BUDGET_FIELD = {"max_constants": "max_constants", "max_steps": "max_steps",
                  "closure_budget": "closure_max_card"}
 

@@ -6,9 +6,9 @@ rules: 13 propositional/multiplicative and 12 modal ones.  Eight rules
 introduce fresh label constants; eight rules carry a side condition on the
 constraint closure and are (re-)instantiated whenever the closure grows.
 
-The search runs iterative deepening on the number of fresh constants in
-one tableau: the limit rises in place when the next instance needs more
-constants than it allows.  A fair scheduler fires non-branching
+The search runs in one tableau and may introduce at most ``max_constants``
+fresh constants beyond the root's; the outcome's ``depth`` is the most it
+asked for, capped there.  A fair scheduler fires non-branching
 constant-free rules first, then additive branching rules, then
 constant-introducing rules, and multiplicative branching rules last, FIFO
 within each class except that a branching instance whose children all
@@ -22,7 +22,6 @@ refuted, or unknown with diagnostics.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -196,7 +195,6 @@ class Branch:
     def __init__(self, bid: int, closure: Closure):
         self.id = bid
         self.revision = 0
-        self.formulas: set[SignedFormula] = set()
         self.t_labels: dict[Formula, set] = {}
         self.f_labels: dict[Formula, set] = {}
         self.closure = closure
@@ -208,30 +206,33 @@ class Branch:
         self.starved = False
         self.hintikka_state: str | None = None
 
+    @property
+    def formulas(self) -> set[SignedFormula]:
+        return {SignedFormula(sign, phi, x)
+                for sign, store in ((T, self.t_labels), (F, self.f_labels))
+                for phi, xs in store.items() for x in xs}
+
     # -- growth --------------------------------------------------------------
 
-    def add_signed(self, sf: SignedFormula, rng=None) -> None:
-        if sf in self.formulas:
+    def add_signed(self, sf: SignedFormula) -> None:
+        labels = (self.t_labels if sf.sign == T else self.f_labels).setdefault(
+            sf.formula, set())
+        if sf.label in labels:
             return
         assert self.closure.in_domain(sf.label), "label outside closure domain"
-        self.formulas.add(sf)
+        labels.add(sf.label)
         self.revision += 1
-        store = self.t_labels if sf.sign == T else self.f_labels
-        store.setdefault(sf.formula, set()).add(sf.label)
         if self.closed is None:
-            self._check_new_formula(sf)
+            self.closed = closing_witness(sf.sign, sf.formula, sf.label,
+                                          self.t_labels, self.f_labels, self.closure)
         rule = rule_for(sf)
-        if rule is None:
-            return
         if rule in CONDITION_RULES:
             self.cond_sfs.append((rule, sf))
-            self._enqueue_batch(
-                [RuleInstance(rule, sf, i) for i in
-                 instances(sf, self.closure)], rng)
-        else:
-            self._enqueue_batch([RuleInstance(rule, sf)], rng)
+            self._enqueue_condition(rule, sf)
+        elif rule is not None:
+            self._enqueue_batch([RuleInstance(rule, sf)])
 
-    def add_constraints(self, constraints: Iterable, rng=None) -> None:
+    def add_constraints(self, constraints: Iterable) -> None:
         before = len(self.closure), self.closure.units
         cs = list(constraints)
         if not cs:
@@ -239,33 +240,22 @@ class Branch:
         self.closure.add(*cs)
         self.revision += 1
         if (len(self.closure), self.closure.units) != before:
-            self.refresh_conditions(rng)
+            for rule, sf in self.cond_sfs:
+                self._enqueue_condition(rule, sf)
             if self.closed is None:
-                self.recheck_closed()
+                self.closed = branch_witness(self.t_labels, self.f_labels,
+                                             self.closure)
 
-    def refresh_conditions(self, rng=None) -> None:
-        for (rule, sf) in self.cond_sfs:
-            self._enqueue_batch(
-                [RuleInstance(rule, sf, i) for i in
-                 instances(sf, self.closure)], rng)
+    def _enqueue_condition(self, rule: str, sf: SignedFormula) -> None:
+        self._enqueue_batch([RuleInstance(rule, sf, i)
+                             for i in instances(sf, self.closure)])
 
-    def _enqueue_batch(self, instances: list, rng=None) -> None:
+    def _enqueue_batch(self, instances: list) -> None:
         fresh = [ri for ri in instances
                  if ri.key() not in self.done and ri.key() not in self.queued]
-        if rng is not None:
-            rng.shuffle(fresh)
         for ri in fresh:
             self.queued.add(ri.key())
             self.queues[_PRIORITY[ri.rule]].append(ri)
-
-    # -- closure conditions ----------------------------------------------------
-
-    def _check_new_formula(self, sf: SignedFormula) -> None:
-        self.closed = closing_witness(sf.sign, sf.formula, sf.label,
-                                      self.t_labels, self.f_labels, self.closure)
-
-    def recheck_closed(self) -> None:
-        self.closed = branch_witness(self.t_labels, self.f_labels, self.closure)
 
     # -- scheduler -------------------------------------------------------------
 
@@ -317,7 +307,6 @@ class Branch:
         other = Branch.__new__(Branch)
         other.__dict__.update(self.__dict__)
         other.id, other.revision = bid, 0
-        other.formulas = set(self.formulas)
         other.t_labels = {k: set(v) for k, v in self.t_labels.items()}
         other.f_labels = {k: set(v) for k, v in self.f_labels.items()}
         other.closure = self.closure.clone()
@@ -337,8 +326,6 @@ class Branch:
 
 def is_closed_branch(branch: Branch) -> tuple[bool, tuple | None]:
     """Closure-condition check with witness (condition 1-4)."""
-    if branch.closed is None:
-        branch.recheck_closed()
     return (branch.closed is not None, branch.closed)
 
 
@@ -380,24 +367,25 @@ class ProofOutcome:
 
 class Tableau:
     def __init__(self, phi: Formula, sig: Signature, logic: str = "erl",
-                 closure_max_card: int = Budget.closure_max_card,
-                 constant_limit: int | None = None, seed: int = 0):
+                 closure_max_card: int = Budget.closure_max_card):
         self.sig = sig
         self.logic = logic
         self.phi = phi
-        self.constant_limit = constant_limit  # fresh constants beyond c1
-        self.used_constants = 1               # c1 is consumed by the root
+        self.depth = 0                  # the most fresh constants beyond c1 asked for
+        self.used_constants = 1         # c1 is consumed by the root
         self.next_branch_id = 0
         self.trace: list = []
         self.closed_log: list = []
         self.applications = 0
-        self.rng = random.Random(seed) if seed else None
         closure = Closure(sorted(sig.agents), erl_star=is_star(logic),
                           max_card=closure_max_card)
         root = Branch(self._new_id(), closure)
         c1 = label(fresh_constant_name(1))
-        root.add_constraints([ResEq(c1, c1)], self.rng)
-        root.add_signed(SignedFormula(F, phi, c1), self.rng)
+        # the signature's products hold in every model, so at the root too
+        root.add_constraints([ResEq(c1, c1)] + [
+            ResEq(label(r, s), EPSILON if t == sig.unit else label(t))
+            for (r, s), t in sorted(sig.composition.items())])
+        root.add_signed(SignedFormula(F, phi, c1))
         self.branches: list[Branch] = [root]
 
     def _new_id(self) -> int:
@@ -409,12 +397,6 @@ class Tableau:
         """Allocate the next label constant (never reused, never a lambda)."""
         self.used_constants += 1
         return fresh_constant_name(self.used_constants)
-
-    def can_afford(self, rule: str) -> bool:
-        need = FRESH_NEED.get(rule, 0)
-        if need == 0 or self.constant_limit is None:
-            return True
-        return (self.used_constants - 1) + need <= self.constant_limit
 
     def applicable_rules(self, branch_index: int) -> list[RuleInstance]:
         b = self.branches[branch_index]
@@ -453,9 +435,9 @@ class Tableau:
             entry["condition_fact"] = fact_str(fact)
             entry["condition_derivation"] = b.closure.derivation_chain(fact)
         for child, (sfs, constraints) in zip(children, children_spec):
-            child.add_constraints(constraints, self.rng)
+            child.add_constraints(constraints)
             for sf in sfs:
-                child.add_signed(sf, self.rng)
+                child.add_signed(sf)
             added[str(child.id)] = {
                 "formulas": [sf.text(self.sig.unit) for sf in sfs],
                 "constraints": [str(c) for c in constraints],
@@ -480,8 +462,8 @@ class Tableau:
 
 
 def init_tableau(phi: Formula, sig: Signature, logic: str = "erl",
-                 closure_max_card: int = Budget.closure_max_card, seed: int = 0) -> Tableau:
-    return Tableau(phi, sig, logic, closure_max_card=closure_max_card, seed=seed)
+                 closure_max_card: int = Budget.closure_max_card) -> Tableau:
+    return Tableau(phi, sig, logic, closure_max_card=closure_max_card)
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +471,15 @@ def init_tableau(phi: Formula, sig: Signature, logic: str = "erl",
 
 
 def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> ProofOutcome:
-    """Three-valued proof search: iterative deepening on fresh constants in
-    one tableau, fair scheduling, verified countermodels on refutation.
+    """Three-valued proof search: one tableau, fair scheduling, verified
+    countermodels on refutation.
 
-    The constant limit starts at 1 and rises in place when the scheduler
-    pops an instance it cannot afford.  The run is deterministic and a run
-    at a lower limit is a prefix of one at a higher limit up to its first
-    unaffordable instance, so this gives what restarting at each depth
-    would.  At ``max_constants`` such an instance starves its branch.
+    An instance that would take the fresh constants beyond c1 past
+    ``max_constants`` starves its branch.  The outcome's ``depth`` is the
+    most constants any popped instance asked for, at most ``max_constants``
+    and at least 1 when that allows.  The run is deterministic, and a run capped lower is
+    a prefix of it up to its first unaffordable instance, so this gives
+    what iterative deepening by restarts at each depth would.
 
     Once the scan meets an open branch with no work left that did not
     refute, that branch stays open, so the formula cannot be proved.  From
@@ -507,8 +490,8 @@ def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> Proo
     config = config or RunConfig()
     budget = config.budget
     t = Tableau(phi, sig, config.logic,
-                closure_max_card=budget.closure_max_card,
-                constant_limit=min(1, budget.max_constants), seed=config.seed)
+                closure_max_card=budget.closure_max_card)
+    t.depth = min(1, budget.max_constants)
     hopeless = False            # an open branch is out of work: no proof
     while True:
         target = None
@@ -529,9 +512,9 @@ def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> Proo
         ri = b.pop()
         if ri is None:
             continue
-        while not t.can_afford(ri.rule) and t.constant_limit < budget.max_constants:
-            t.constant_limit += 1
-        if not t.can_afford(ri.rule):
+        need = t.used_constants - 1 + FRESH_NEED.get(ri.rule, 0)
+        t.depth = max(t.depth, min(need, budget.max_constants))
+        if need > budget.max_constants:
             b.starved = True
             continue
         t._apply(target, ri)
@@ -565,7 +548,7 @@ def _saturated(t: Tableau, b: Branch) -> ProofOutcome | None:
 
 
 def _outcome(t: Tableau, verdict: str, **fields) -> ProofOutcome:
-    return ProofOutcome(verdict, applications=t.applications, depth=t.constant_limit,
+    return ProofOutcome(verdict, applications=t.applications, depth=t.depth,
                         trace=t.trace, closed_branches=t.closed_log, **fields)
 
 

@@ -4,8 +4,8 @@ clarity, not speed.  The oracles share no code path with the modules under
 test, with two exceptions: the closure checks ``derived_rule_check`` and
 ``corollary_check`` read a closure through its public queries, and
 ``restart_prove``, iterative deepening by a new tableau per depth that
-``prove``'s in-place deepening must match, runs on the same ``Tableau`` and
-outcome helpers."""
+``prove``'s one run capped at ``max_constants`` must match, runs on the same
+``Tableau`` and outcome helpers."""
 
 from copy import deepcopy
 from dataclasses import replace
@@ -14,7 +14,7 @@ from itertools import product
 from erl import models
 from erl.labels import (EPSILON, Closure, const_key, fact_labels, fact_of,
                         lmul, lsub, splits_of, sublabels)
-from erl.tableaux import Tableau, _aggregate, _saturated
+from erl.tableaux import FRESH_NEED, Tableau, _aggregate, _saturated
 
 
 def forget_frames() -> None:
@@ -285,8 +285,8 @@ def restart_prove(phi, sig, config):
 
 def _attempt(phi, sig, config, depth, abort_on_starve):
     t = Tableau(phi, sig, config.logic,
-                closure_max_card=config.budget.closure_max_card,
-                constant_limit=depth, seed=config.seed)
+                closure_max_card=config.budget.closure_max_card)
+    t.depth = depth
     hopeless = False
     while True:
         target = None
@@ -309,7 +309,7 @@ def _attempt(phi, sig, config, depth, abort_on_starve):
         ri = b.pop()
         if ri is None:
             continue
-        if not t.can_afford(ri.rule):
+        if t.used_constants - 1 + FRESH_NEED.get(ri.rule, 0) > depth:
             b.starved = True
             if abort_on_starve:
                 return _aggregate(t, steps_exhausted=False)

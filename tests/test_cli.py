@@ -71,7 +71,7 @@ def test_check_usage_errors(sig_file, tmp_path, capsys):
                 {"composition": [["r", "s"]]},
                 {"composition": [["r", "s", "e", "e"]]},
                 {"equiv": {"a": [["e"]]}}, {"carrier": ["e", "r", "s", 3]},
-                {"world": ["e"]},
+                {"world": ["e"]}, {"world": "zz"}, {"equiv": [["e", "r"]]},
                 # a unit other than the signature's, a world listed twice
                 {"carrier": ["e", "r", "s", "u"], "unit": "u"},
                 {"carrier": ["e", "r", "s", "r"]}):
@@ -270,12 +270,13 @@ def test_malformed_scenario_exit(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-# The setting flags each subcommand reads; it must refuse the others.
+# The setting flags each subcommand reads; it must refuse the others, and
+# every subcommand refuses the retired --seed.
 SETTINGS = {"--logic", "--max-constants", "--max-steps", "--closure-budget",
             "--carrier-bound", "--output", "--seed"}
 ACCEPTED = {
     "prove": {"--logic", "--max-constants", "--max-steps", "--closure-budget",
-              "--seed", "--output"},
+              "--output"},
     "check": {"--logic", "--output"},
     "search": {"--logic", "--carrier-bound", "--output"},
     "scenario": {"--output"},

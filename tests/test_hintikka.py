@@ -69,8 +69,9 @@ def test_saturated_reports_the_violated_condition():
     formulas, closure = paper_branch(sig)
     t = Tableau(parse_formula("[C a; s] p -> [C a; s] [C a; r] p", sig), sig)
     b = Branch(0, closure)
-    b.formulas = {sf for sf in formulas
-                  if sf != SignedFormula("T", Atom("p"), lmul(C1, LS))}
+    for sf in formulas - {SignedFormula("T", Atom("p"), lmul(C1, LS))}:
+        (b.t_labels if sf.sign == "T" else b.f_labels).setdefault(
+            sf.formula, set()).add(sf.label)
     assert _saturated(t, b) is None
     assert b.hintikka_state == "violated(18)"
 
@@ -196,15 +197,28 @@ def test_verify_extraction_catches_tampering():
 @pytest.mark.parametrize("text", ["[C a; r.s] p -> [C a; t] p",
                                   "[C a; t] p -> [C a; r.s] p"])
 def test_invalid_extraction_is_never_a_refutation(text, logic):
-    # the prover does not read the signature's r.s = t, so the model read
-    # off an open branch can break it; the check turns that into no verdict
+    # the root branch holds the signature's r.s ~ t, so both directions
+    # close; neither has a countermodel
     sig = Signature.make(["a"], ["e", "r", "s", "t"], "e", [("r", "s", "t")])
     phi = parse_formula(text, sig)
     out = prove(phi, sig, RunConfig(logic=logic))
-    assert not out.refuted
-    if not out.proved:
-        assert "invalid-model" in " ".join(out.diagnostics["branch_states"])
+    assert out.proved and out.applications == 3
     assert find_countermodel(phi, sig, 4, logic) is None
+
+
+def test_extraction_breaking_the_signature_is_invalid():
+    # a closure that makes r.s ~ t where the signature leaves r.s undefined
+    # induces a model with a product the signature lacks: t lies in the
+    # signature but r.s is undeclared
+    sig = Signature.make(["a"], ["e", "r", "s", "t"])
+    closure = Closure.close([ResEq(C1, C1), ResEq(lmul(LR, LS), label("t"))],
+                            ["a"])
+    formulas = {SignedFormula("F", Atom("p"), C1)}
+    model, _, index = extract_model(formulas, closure, sig, designated=C1)
+    failure = verify_extraction(model, formulas, index, "erl")
+    assert failure is not None and failure["kind"] == "invalid-model"
+    assert failure["violations"] == [
+        "Extension('r', 's'): t lies in the signature but r.s is undeclared"]
 
 
 def test_extracted_countermodels_load_back_from_json():

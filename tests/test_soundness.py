@@ -15,15 +15,23 @@ from conftest import random_formula
 LOGICS = ("erl", "erl-star")
 
 
-def corpus(n=200, seed=7):
-    sig = Signature.make(["a"], ["e", "r", "s"])
+def corpus(n=200, seed=7, sig=Signature.make(["a"], ["e", "r", "s"])):
     rng = random.Random(seed)
     return sig, [(random_formula(rng, sig, rng.choice([2, 3])), LOGICS[i % 2])
                  for i in range(n)]
 
 
 def test_prover_agrees_with_oracle():
-    sig, formulas = corpus()
+    check_against_oracle(*corpus())
+
+
+def test_prover_agrees_with_oracle_on_composition():
+    # r.r = s holds in every model, and at the root of every tableau
+    check_against_oracle(*corpus(sig=Signature.make(["a"], ["e", "r", "s"],
+                                                    "e", [("r", "r", "s")])))
+
+
+def check_against_oracle(sig, formulas):
     verdicts = {"proved": 0, "refuted": 0, "unknown": 0}
     for phi, logic in formulas:
         out = prove(phi, sig, RunConfig(logic=logic))
