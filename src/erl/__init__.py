@@ -14,8 +14,7 @@ from .models import (Model, make_model, validate_model, load_model,
                      model_to_json, enumerate_models, sample_models)
 from .checker import (satisfies, satisfies_direct, valid_in_model,
                       find_countermodel, truth_set, explain)
-from .tableaux import (Tableau, SignedFormula, ProofOutcome, prove,
-                       init_tableau, is_closed_branch)
+from .tableaux import Tableau, SignedFormula, ProofOutcome, prove
 from .hintikka import (is_hintikka, extract_model, verify_extraction,
                        build_index)
 from .scenarios import (Scenario, builtin_scenarios, builtin_scenario,

@@ -46,8 +46,3 @@ class NotHintikka(ErlError):
     def __init__(self, condition: int, witness: dict):
         super().__init__(f"condition {condition} violated: {witness}")
         self.condition = condition
-
-
-class StaleInstance(ErlError):
-    """A rule instance was applied to a branch that has changed since
-    the instance was enumerated."""

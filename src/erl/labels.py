@@ -76,13 +76,9 @@ def label(*constants: str) -> Label:
     return tuple(sorted(constants, key=const_key))
 
 
-def label_of(constants: Iterable[str]) -> Label:
-    return tuple(sorted(constants, key=const_key))
-
-
 def lam(term: Term) -> Label:
     """Lambda embedding of a resource term (unit factors are already gone)."""
-    return label_of(term.parts)
+    return label(*term.parts)
 
 
 def lmul(*labels: Label) -> Label:

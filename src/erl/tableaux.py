@@ -5,14 +5,17 @@ together with a constraint set and its saturation.  The calculus has 25
 rules: 13 propositional/multiplicative and 12 modal ones.  Eight rules
 introduce fresh label constants; eight rules carry a side condition on the
 constraint closure and are (re-)instantiated whenever the closure grows.
+Each rule instance enters a branch's queue at most once, so it is applied
+to the branch at most once.
 
 The search runs in one tableau and may introduce at most ``max_constants``
 fresh constants beyond the root's; the outcome's ``depth`` is the most it
 asked for, capped there.  A fair scheduler fires non-branching
 constant-free rules first, then additive branching rules, then
 constant-introducing rules, and multiplicative branching rules last, FIFO
-within each class except that a branching instance whose children all
-close immediately is preferred.  A branch closes by one of four
+within each class except that a branching class prefers an instance whose
+children all close immediately, and failing that the first one with the
+most closing children.  A branch closes by one of four
 conditions; a saturated open branch with a trustworthy (budget-clean)
 closure goes to the Hintikka check and, on success, yields a verified
 countermodel.  Once a proof is out of reach, branches that can no longer
@@ -24,12 +27,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .closing import (F, T, SignedFormula, branch_witness, closing_witness,
                       describe_closure_witness)
 from .config import Budget, RunConfig, is_star
-from .errors import NotHintikka, StaleInstance
+from .errors import NotHintikka
 from .labels import (AgentEq, Closure, EPSILON, ResEq, fact_str, label,
                      label_str, lam, lmul, lsub, fresh_constant_name,
                      modal_partners, modal_source)
@@ -39,16 +42,10 @@ from .syntax import (BASE_OF, And, Atom, Bot, Formula, Implies, Modal, Not, Or,
                      EDUAL, UNIVERSAL)
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     rule: str
     target: SignedFormula
     inst: tuple = ()
-    branch_id: int = -1
-    revision: int = -1
-
-    def key(self):
-        return (self.rule, self.target, self.inst)
 
 
 # rule name by (sign, connective tag)
@@ -194,13 +191,11 @@ class Branch:
 
     def __init__(self, bid: int, closure: Closure):
         self.id = bid
-        self.revision = 0
         self.t_labels: dict[Formula, set] = {}
         self.f_labels: dict[Formula, set] = {}
         self.closure = closure
         self.queues = tuple(deque() for _ in range(_N_CLASSES))
-        self.queued: set = set()
-        self.done: set = set()
+        self.seen: set = set()             # every instance ever queued here
         self.cond_sfs: list[tuple[str, SignedFormula]] = []
         self.closed: tuple | None = None
         self.starved = False
@@ -221,7 +216,6 @@ class Branch:
             return
         assert self.closure.in_domain(sf.label), "label outside closure domain"
         labels.add(sf.label)
-        self.revision += 1
         if self.closed is None:
             self.closed = closing_witness(sf.sign, sf.formula, sf.label,
                                           self.t_labels, self.f_labels, self.closure)
@@ -238,7 +232,6 @@ class Branch:
         if not cs:
             return
         self.closure.add(*cs)
-        self.revision += 1
         if (len(self.closure), self.closure.units) != before:
             for rule, sf in self.cond_sfs:
                 self._enqueue_condition(rule, sf)
@@ -251,36 +244,28 @@ class Branch:
                              for i in instances(sf, self.closure)])
 
     def _enqueue_batch(self, instances: list) -> None:
-        fresh = [ri for ri in instances
-                 if ri.key() not in self.done and ri.key() not in self.queued]
-        for ri in fresh:
-            self.queued.add(ri.key())
-            self.queues[_PRIORITY[ri.rule]].append(ri)
+        for ri in instances:
+            if ri not in self.seen:
+                self.seen.add(ri)
+                self.queues[_PRIORITY[ri.rule]].append(ri)
 
     # -- scheduler -------------------------------------------------------------
 
     def has_work(self) -> bool:
         return any(self.queues)
 
-    def pop(self) -> RuleInstance | None:
+    def pop(self) -> RuleInstance:
+        """The next instance of the first class with work; call only when
+        ``has_work``."""
         for cls, q in enumerate(self.queues):
-            while q:
-                if cls in _BRANCHING_CLASSES:
-                    ri = self._pop_branching(q)
-                else:
-                    ri = q.popleft()
-                self.queued.discard(ri.key())
-                if ri.key() not in self.done:
-                    return ri
-        return None
+            if q:
+                return self._pop_branching(q) if cls in _BRANCHING_CLASSES else q.popleft()
 
     def _pop_branching(self, q) -> RuleInstance:
         """Prefer the instance whose children close immediately (all of them,
         else as many as possible); fall back to FIFO order."""
         best_i, best_score = 0, -1
         for i, ri in enumerate(q):
-            if ri.key() in self.done:
-                continue
             spec = expand(ri.rule, ri.target, ri.inst)
             score = sum(1 for (sfs, _) in spec
                         if any(self._would_close(sf) for sf in sfs))
@@ -297,36 +282,17 @@ class Branch:
         return closing_witness(sf.sign, sf.formula, sf.label, self.t_labels,
                                self.f_labels, self.closure) is not None
 
-    def pending(self) -> list:
-        out = []
-        for q in self.queues:
-            out.extend(ri for ri in q if ri.key() not in self.done)
-        return out
-
     def clone(self, bid: int) -> "Branch":
         other = Branch.__new__(Branch)
         other.__dict__.update(self.__dict__)
-        other.id, other.revision = bid, 0
+        other.id = bid
         other.t_labels = {k: set(v) for k, v in self.t_labels.items()}
         other.f_labels = {k: set(v) for k, v in self.f_labels.items()}
         other.closure = self.closure.clone()
         other.queues = tuple(deque(q) for q in self.queues)
-        other.queued = set(self.queued)
-        other.done = set(self.done)
+        other.seen = set(self.seen)
         other.cond_sfs = list(self.cond_sfs)
         return other
-
-    def snapshot(self, unit: str = "e") -> dict:
-        return {
-            "formulas": sorted(sf.text(unit) for sf in self.formulas),
-            "constraints": [str(c) for c in self.closure.base],
-            "closed": None if self.closed is None else describe_closure_witness(self.closed, unit),
-        }
-
-
-def is_closed_branch(branch: Branch) -> tuple[bool, tuple | None]:
-    """Closure-condition check with witness (condition 1-4)."""
-    return (branch.closed is not None, branch.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -398,25 +364,10 @@ class Tableau:
         self.used_constants += 1
         return fresh_constant_name(self.used_constants)
 
-    def applicable_rules(self, branch_index: int) -> list[RuleInstance]:
-        b = self.branches[branch_index]
-        return [RuleInstance(ri.rule, ri.target, ri.inst, b.id, b.revision)
-                for ri in b.pending()]
-
-    def apply_rule(self, branch_index: int, ri: RuleInstance) -> list[int]:
-        """Public single-step application; raises StaleInstance when the
-        branch has changed since the instance was enumerated."""
-        b = self.branches[branch_index]
-        if ri.branch_id >= 0 and (ri.branch_id != b.id or ri.revision != b.revision):
-            raise StaleInstance(f"branch {ri.branch_id}@{ri.revision} is gone")
-        return self._apply(branch_index, ri)
-
     def _apply(self, branch_index: int, ri: RuleInstance) -> list[int]:
+        """Apply ``ri``, just popped off the branch at ``branch_index``;
+        returns the children's ids."""
         b = self.branches[branch_index]
-        key = ri.key()
-        if key in b.done:
-            return [b.id]
-        b.done.add(key)
         fresh = [self.fresh_constant() for _ in range(FRESH_NEED.get(ri.rule, 0))]
         children_spec = expand(ri.rule, ri.target, ri.inst, fresh)
         # the leftmost child continues the parent branch; siblings are clones
@@ -459,11 +410,6 @@ class Tableau:
                     rec["fact_derivation"] = child.closure.derivation_chain(("r", x, EPSILON))
                 self.closed_log.append(rec)
         return [c.id for c in children]
-
-
-def init_tableau(phi: Formula, sig: Signature, logic: str = "erl",
-                 closure_max_card: int = Budget.closure_max_card) -> Tableau:
-    return Tableau(phi, sig, logic, closure_max_card=closure_max_card)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +456,6 @@ def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> Proo
             break
         b = t.branches[target]
         ri = b.pop()
-        if ri is None:
-            continue
         need = t.used_constants - 1 + FRESH_NEED.get(ri.rule, 0)
         t.depth = max(t.depth, min(need, budget.max_constants))
         if need > budget.max_constants:
@@ -531,19 +475,21 @@ def _saturated(t: Tableau, b: Branch) -> ProofOutcome | None:
         b.hintikka_state = "closure-budget"
         return None
     from . import hintikka      # not at module level: hintikka imports this module
+    formulas = b.formulas
     try:
         model, world, index = hintikka.extract_model(
-            b.formulas, b.closure, t.sig, designated=label(fresh_constant_name(1)))
+            formulas, b.closure, t.sig, designated=label(fresh_constant_name(1)))
     except NotHintikka as e:
         b.hintikka_state = f"violated({e.condition})"
         return None
-    failure = hintikka.verify_extraction(model, b.formulas, index, logic=t.logic)
+    failure = hintikka.verify_extraction(model, formulas, index, logic=t.logic)
     if failure is not None:
         b.hintikka_state = f"extraction-failed: {failure}"
         return None
     b.hintikka_state = "hintikka"
-    return _outcome(t, "refuted", countermodel=model, world=world,
-                    branch=b.snapshot(t.sig.unit),
+    branch = {"formulas": sorted(sf.text(t.sig.unit) for sf in formulas),
+              "constraints": [str(c) for c in b.closure.base], "closed": None}
+    return _outcome(t, "refuted", countermodel=model, world=world, branch=branch,
                     diagnostics={"warnings": index.warnings} if index.warnings else {})
 
 

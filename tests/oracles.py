@@ -307,8 +307,6 @@ def _attempt(phi, sig, config, depth, abort_on_starve):
             return _aggregate(t, steps_exhausted=target is not None)
         b = t.branches[target]
         ri = b.pop()
-        if ri is None:
-            continue
         if t.used_constants - 1 + FRESH_NEED.get(ri.rule, 0) > depth:
             b.starved = True
             if abort_on_starve:

@@ -12,7 +12,7 @@ from erl import (Budget, RunConfig, Signature, enumerate_models,
                  satisfies, satisfies_direct, truth_set, valid_in_model,
                  validate_model)
 from erl.models import star_compat_violation
-from erl.labels import Closure, ResEq, AgentEq, label_of
+from erl.labels import Closure, ResEq, AgentEq, label
 
 from conftest import random_formula
 from oracles import corollary_check, derived_rule_check
@@ -220,7 +220,7 @@ def test_criterion_7_closure_engine_laws():
     consts = ["c1", "c2", "c3", "c4"]
 
     def rnd_label():
-        return label_of(rng.choices(consts, k=rng.randint(0, 2)))
+        return label(*rng.choices(consts, k=rng.randint(0, 2)))
 
     t0 = time.time()
     for trial in range(100):

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from erl.labels import (AgentEq, Closure, EPSILON, ResEq, _replay_step,
-                        fact_str, label, label_of, label_str, lcontains, lmul,
+                        fact_str, label, label_str, lcontains, lmul,
                         lsub, splits_of, sublabels)
 
 from oracles import (agent_facts, alphabet, corollary_check, derived_rule_check,
@@ -153,7 +153,7 @@ def _random_constraints(rng, n_agents=1):
     agents = [f"u{i}" for i in range(n_agents)]
 
     def rnd_label():
-        return label_of(rng.choices(consts, k=rng.randint(0, 2)))
+        return label(*rng.choices(consts, k=rng.randint(0, 2)))
 
     out = []
     for _ in range(rng.randint(1, 6)):

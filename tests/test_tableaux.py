@@ -4,9 +4,8 @@ import random
 import pytest
 
 from erl import (And, Atom, Budget, Not, RunConfig, Signature, Star,
-                 parse_formula, prove, init_tableau, is_closed_branch,
-                 find_countermodel, satisfies, validate_model)
-from erl.errors import StaleInstance
+                 parse_formula, prove, find_countermodel, satisfies,
+                 validate_model)
 from erl.labels import AgentEq, ResEq, label, lmul
 from erl.tableaux import Branch, SignedFormula, Tableau
 
@@ -16,38 +15,50 @@ def cfg(logic="erl", **kw):
     return RunConfig(logic=logic, budget=budget)
 
 
+def queued(b):
+    """The instances waiting on branch ``b``, class by class."""
+    return [ri for q in b.queues for ri in q]
+
+
+def step(t, index=0):
+    """Pop the next instance of branch ``index`` and apply it, as ``prove``
+    does; returns the instance and the children's ids."""
+    ri = t.branches[index].pop()
+    return ri, t._apply(index, ri)
+
+
 def test_init_tableau(sig_a):
-    t = init_tableau(Atom("p"), sig_a)
+    t = Tableau(Atom("p"), sig_a)
     [b] = t.branches
     assert SignedFormula("F", Atom("p"), label("c1")) in b.formulas
     assert b.closure.has_res(label("c1"), label("c1"))
-    assert not is_closed_branch(b)[0]
+    assert b.closed is None
 
 
 def test_init_f_top_closes_by_expansion(sig_a):
     from erl.syntax import Top
-    t = init_tableau(Top(), sig_a)
-    closed, witness = is_closed_branch(t.branches[0])
-    assert closed and witness[0] == "F_top"
+    t = Tableau(Top(), sig_a)
+    witness = t.branches[0].closed
+    assert witness is not None and witness[0] == "F_top"
 
 
 def test_f_unit_closes_via_constraint(sig_a):
     from erl.syntax import Unit
-    t = init_tableau(Unit(), sig_a)
+    t = Tableau(Unit(), sig_a)
     b = t.branches[0]
-    assert not is_closed_branch(b)[0]
+    assert b.closed is None
     b.add_constraints([ResEq(label("c1"), ())])
-    closed, witness = is_closed_branch(b)
-    assert closed and witness[0] == "F_I"
+    witness = b.closed
+    assert witness is not None and witness[0] == "F_I"
 
 
 def test_applicable_rules_t_star(sig_a):
-    t = init_tableau(Not(Star(Atom("p"), Atom("q"))), sig_a)
-    [ri] = t.applicable_rules(0)
-    t.apply_rule(0, ri)  # F_not
-    [ri] = t.applicable_rules(0)
+    t = Tableau(Not(Star(Atom("p"), Atom("q"))), sig_a)
+    [ri] = queued(t.branches[0])
+    assert step(t)[0] == ri             # F_not
+    [ri] = queued(t.branches[0])
     assert ri.rule == "T_star"
-    t.apply_rule(0, ri)
+    assert step(t)[0] == ri
     b = t.branches[0]
     assert SignedFormula("T", Atom("p"), label("c2")) in b.formulas
     assert SignedFormula("T", Atom("q"), label("c3")) in b.formulas
@@ -56,27 +67,28 @@ def test_applicable_rules_t_star(sig_a):
 
 def test_applicable_rules_condition_instance(sig_a):
     phi = parse_formula("[C a; s] p", sig_a)
-    t = init_tableau(Not(phi), sig_a)
-    t.apply_rule(0, t.applicable_rules(0)[0])  # F_not gives T [C a; s] p : c1
-    assert t.applicable_rules(0) == []  # no partner in the closure yet
+    t = Tableau(Not(phi), sig_a)
+    step(t)                             # F_not gives T [C a; s] p : c1
+    assert queued(t.branches[0]) == []  # no partner in the closure yet
     b = t.branches[0]
     c1s = lmul(label("c1"), label("s"))
     b.add_constraints([AgentEq("a", c1s, label("c2"))])
-    rules = {(ri.rule, ri.inst) for ri in t.applicable_rules(0)}
+    rules = {(ri.rule, ri.inst) for ri in queued(b)}
     assert ("T_C", (label("c2"),)) in rules
-    ri = next(r for r in t.applicable_rules(0) if r.inst == (label("c2"),))
-    t.apply_rule(0, ri)
+    ri, _ = step(t)
+    assert ri.inst == (label("c2"),)
     assert SignedFormula("T", Atom("p"), label("c2")) in t.branches[0].formulas
 
 
 def test_branching_rule_shapes(sig_a):
     phi = Not(And(Atom("p"), Atom("q")))
-    t = init_tableau(Not(phi), sig_a)
-    t.apply_rule(0, t.applicable_rules(0)[0])   # F_not
-    t.apply_rule(0, t.applicable_rules(0)[0])   # T_not -> F (p & q) : c1
-    [ri] = t.applicable_rules(0)
+    t = Tableau(Not(phi), sig_a)
+    step(t)                             # F_not
+    step(t)                             # T_not -> F (p & q) : c1
+    [ri] = queued(t.branches[0])
     assert ri.rule == "F_and"
-    children = t.apply_rule(0, ri)
+    got, children = step(t)
+    assert got == ri
     assert len(children) == 2 and len(t.branches) == 2
     assert SignedFormula("F", Atom("p"), label("c1")) in t.branches[0].formulas
     assert SignedFormula("F", Atom("q"), label("c1")) in t.branches[1].formulas
@@ -84,43 +96,33 @@ def test_branching_rule_shapes(sig_a):
 
 def test_apply_f_imp_and_t_i(sig_a):
     phi = parse_formula("I -> p", sig_a)
-    t = init_tableau(phi, sig_a)
-    [ri] = t.applicable_rules(0)
+    t = Tableau(phi, sig_a)
+    [ri] = queued(t.branches[0])
     assert ri.rule == "F_imp"
-    t.apply_rule(0, ri)
+    assert step(t)[0] == ri
     b = t.branches[0]
     assert SignedFormula("T", parse_formula("I", sig_a), label("c1")) in b.formulas
-    [ri] = t.applicable_rules(0)
+    [ri] = queued(b)
     assert ri.rule == "T_I"
-    t.apply_rule(0, ri)
+    assert step(t)[0] == ri
     assert t.branches[0].closure.has_res(label("c1"), ())
 
 
 def test_apply_f_dd(sig_a):
     phi = parse_formula("[D a; s] p", sig_a)
-    t = init_tableau(phi, sig_a)
-    [ri] = t.applicable_rules(0)
+    t = Tableau(phi, sig_a)
+    [ri] = queued(t.branches[0])
     assert ri.rule == "F_Dd"
-    t.apply_rule(0, ri)
+    assert step(t)[0] == ri
     b = t.branches[0]
     c2s = lmul(label("c2"), label("s"))
     assert SignedFormula("F", Atom("p"), c2s) in b.formulas
     assert b.closure.has_agent("a", label("c1"), c2s)
 
 
-def test_stale_instance(sig_a):
-    t = init_tableau(parse_formula("p -> (q -> p)", sig_a), sig_a)
-    [ri] = t.applicable_rules(0)
-    t.apply_rule(0, ri)
-    rules = t.applicable_rules(0)
-    t.apply_rule(0, rules[0])
-    with pytest.raises(StaleInstance):
-        t.apply_rule(0, rules[0])
-
-
 def test_monotone_growth(sig_a):
     phi = parse_formula("(p | q) & !p -> q", sig_a)
-    t = init_tableau(phi, sig_a)
+    t = Tableau(phi, sig_a)
     while True:
         open_idx = [i for i, b in enumerate(t.branches) if b.closed is None
                     and b.has_work()]
@@ -138,11 +140,11 @@ def test_monotone_growth(sig_a):
 
 
 def test_fresh_constant_progression(sig_a):
-    t = init_tableau(Not(Star(Atom("p"), Atom("q"))), sig_a)
+    t = Tableau(Not(Star(Atom("p"), Atom("q"))), sig_a)
     assert t.fresh_constant() == "c2"
-    t2 = init_tableau(Not(Star(Atom("p"), Atom("q"))), sig_a)
-    t2.apply_rule(0, t2.applicable_rules(0)[0])        # F_not
-    t2.apply_rule(0, t2.applicable_rules(0)[0])        # T_star takes c2, c3
+    t2 = Tableau(Not(Star(Atom("p"), Atom("q"))), sig_a)
+    step(t2)                            # F_not
+    assert step(t2)[0].rule == "T_star"  # takes c2, c3
     assert t2.fresh_constant() == "c4"
 
 
@@ -255,11 +257,27 @@ def test_trace_json_serializable(sig_a):
     assert '"t_a"' in blob
 
 
+def applied_twice(trace):
+    """The first (rule, principal, instantiation) that the trace applies
+    twice along one branch, each child inheriting its parent's history, or
+    None."""
+    history = {0: frozenset()}
+    for entry in trace:
+        key = (entry["rule"], entry["principal"], tuple(entry["instantiation"]))
+        seen = history[entry["branch"]]
+        if key in seen:
+            return key
+        for child in entry["children"]:
+            history[child] = seen | {key}
+    return None
+
+
 @pytest.mark.parametrize("budget", [{}, {"max_constants": 3, "max_steps": 1000}])
 def test_in_place_deepening_is_exact(budget):
     # one run capped at max_constants gives, byte for byte, what a new
     # tableau per depth gives; under 3 constants some branches starve at
-    # the last depth, and one run there exhausts its steps
+    # the last depth, and one run there exhausts its steps.  No branch
+    # applies a rule instance twice.
     from oracles import restart_prove
     from test_acceptance import _regression_set
     from test_soundness import corpus
@@ -272,6 +290,7 @@ def test_in_place_deepening_is_exact(budget):
         config = cfg(logic, **budget)
         out = prove(phi, sig, config)
         assert len(out.trace) == out.applications
+        assert applied_twice(out.trace) is None, (phi, logic)
         assert (json.dumps(out.to_json(), sort_keys=True)
                 == json.dumps(restart_prove(phi, sig, config).to_json(),
                               sort_keys=True)), (phi, logic)
