@@ -212,8 +212,10 @@ class Closure:
 
     Queries are sound for any budget; they are complete for every derivation
     whose intermediate labels stay within the cardinality budget.  When an
-    instance is suppressed, ``budget_hit`` is set, and stays set, and the
-    prover treats the branch as undecided rather than trusting saturation.
+    instance is suppressed, ``budget_hit`` is set, and the prover treats
+    the branch as undecided rather than trusting saturation.  The flag is
+    for the store as it stands: a raised budget or a new saturation from
+    ``base`` clears it, and each instance still over budget sets it again.
     """
 
     def __init__(self, agents: Iterable[str], erl_star: bool = False,
@@ -223,7 +225,6 @@ class Closure:
         self._max_card_param = max_card
         self.base: list = []
         self._base_facts: set = set()           # fact_of(c) for c in base
-        self.budget_hit = False
         self._max_base_card = 0
         self.units = frozenset()                # constants c with c ~ eps
         self._steps: dict = {}                  # kept steps: fact -> (rule, premises)
@@ -233,6 +234,7 @@ class Closure:
 
     def _reset(self) -> None:
         """Empty the store down to eps ~ eps."""
+        self.budget_hit = False
         self._facts = 0                         # sum of squared class sizes
         self._dom: dict[Label, tuple] = {}      # x -> (rule, premises) of x ~ x
         self._root: dict = {u: {} for u in (None, *self.agents)}  # x -> root
@@ -267,7 +269,9 @@ class Closure:
         if self.effective_card > old and not self._found:
             # A larger base label raised the budget: instances suppressed
             # under the old budget may fit now.  They are queued in class
-            # order, which fixes the union order.
+            # order, which fixes the union order; those still over budget
+            # flag it again.
+            self.budget_hit = False
             for u, members in self._members.items():
                 for r, m in members.items():
                     for k, w in self._ext[u].get(r, {}).items():

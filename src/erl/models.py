@@ -34,8 +34,8 @@ worlds, using backtracking over composition cells with incremental
 associativity pruning, each with its blocks of valuations; it is the
 ground truth the prover is checked against.  The frames depend on no
 formula, so the process remembers them per level: one signature, one
-number of fresh worlds and one logic, at most ``LEVELS`` levels, each
-grown only as far as some call has read it (``_level``).  Each call is
+number of fresh worlds and one logic, at most ``LEVELS`` levels, each kept
+only once some call has read it whole (``_level``).  Each later call is
 handed the kept frames as they are; they hold no evaluation tables, so no
 table outlives the models that read it.  Frames with as many worlds and the
 same stabilizer share their block when all their valuations fit one, also
@@ -675,55 +675,30 @@ LEVELS = 8
 ONE_BLOCKS = 64
 
 
-class _Level:
-    """The frames of one level, each with its stabilizer, as far as some
-    call has read them; ``source`` extends them, and is None once they are
-    complete.  ``broken`` is set when ``source`` raised: the generator is
-    dead, so its frames are a prefix that no call may take for the whole."""
-
-    __slots__ = ("frames", "source", "broken")
-
-    def __init__(self, source: Iterator[tuple]):
-        self.frames: list = []
-        self.source = source
-        self.broken = False
-
-
-_levels: OrderedDict = OrderedDict()      # level key -> _Level
+_levels: OrderedDict = OrderedDict()      # level key -> [(frame, stabilizer)]
 
 
 def _level(sig: Signature, extra: int, star: bool) -> Iterator[tuple]:
-    """Stream ``(frame, stabilizer)`` for the frames of ``_level_frames``,
-    read from the process's memory and extending it as far as this call
-    reads.  An exception while extending drops the level, so that the next
-    call starts it again; a reader that held it moves to the new one."""
+    """Stream ``(frame, stabilizer)`` for the frames of ``_level_frames``.
+    A level some call has read whole is kept and handed out as it is; a
+    call that finds none streams its own generator and keeps what it read
+    only once that generator is exhausted.  A call that stops early, or is
+    interrupted, keeps nothing."""
     key = (sig.agents, sig.resources, sig.unit,
            frozenset(sig.composition.items()), extra, star)
-    level = None
-    i = 0
-    while True:
-        if level is None or level.broken:
-            level = _levels.get(key)
-            if level is None:
-                level = _levels[key] = _Level(_level_frames(sig, extra, star))
-                if len(_levels) > LEVELS:
-                    _levels.popitem(last=False)
-            _levels.move_to_end(key)
-        if i < len(level.frames):
-            yield level.frames[i]
-            i += 1
-        elif level.source is None:
-            return
-        else:
-            try:
-                level.frames.append(next(level.source))
-            except StopIteration:
-                level.source = None
-            except BaseException:
-                level.broken = True
-                if _levels.get(key) is level:
-                    del _levels[key]
-                raise
+    kept = _levels.get(key)
+    if kept is not None:
+        _levels.move_to_end(key)
+        yield from kept
+        return
+    frames = []
+    for item in _level_frames(sig, extra, star):
+        frames.append(item)
+        yield item
+    _levels.setdefault(key, frames)     # a level finished earlier stays
+    _levels.move_to_end(key)
+    if len(_levels) > LEVELS:
+        _levels.popitem(last=False)
 
 
 def _level_frames(sig: Signature, extra: int, star: bool) -> Iterator[tuple]:

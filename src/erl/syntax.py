@@ -413,8 +413,6 @@ def expand_duals(phi: Formula) -> Formula:
 _TOKEN = re.compile(r"(->|-\*|[()\[\]<>;.!&|*]|[A-Za-z_][A-Za-z0-9_]*)")
 _WS = re.compile(r"\s*")
 
-_RESERVED = {"top", "bot", "I"}
-
 # Binary connectives, loosest first.  Each level maps its tokens to their
 # formula classes and gives the levels its left and right operands are
 # printed at, so "->" and "-*" associate to the right and the others to the

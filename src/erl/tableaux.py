@@ -431,9 +431,11 @@ def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> Proo
     Once the scan meets an open branch with no work left that did not
     refute, that branch stays open, so the formula cannot be proved.  From
     then on an open branch that is starved or has hit its closure budget is
-    pruned, never expanded again: its flags never reset, so it can never
-    yield a verified refutation either.  The search goes on with the other
-    branches, for a refutation or ``unknown``."""
+    pruned, never expanded again.  Expanding it might still have refuted,
+    since a larger base label can clear its closure's budget flag, but
+    pruning only gives up on a branch and so keeps every verdict sound.
+    The search goes on with the other branches, for a refutation or
+    ``unknown``."""
     config = config or RunConfig()
     budget = config.budget
     t = Tableau(phi, sig, config.logic,
@@ -488,7 +490,6 @@ def _saturated(t: Tableau, b: Branch) -> ProofOutcome | None:
     if failure is not None:
         b.hintikka_state = f"extraction-failed: {failure}"
         return None
-    b.hintikka_state = "hintikka"
     branch = {"formulas": sorted(sf.text(t.sig.unit) for sf in formulas),
               "constraints": [str(c) for c in b.closure.base], "closed": None}
     return _outcome(t, "refuted", countermodel=model, world=world, branch=branch,

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from erl.labels import (AgentEq, Closure, EPSILON, ResEq, _replay_step,
@@ -186,19 +187,25 @@ def test_closure_matches_naive_oracle(seed, star):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.booleans())
 def test_budget_hit_matches_naive_oracle(seed, star):
-    # the flag is raised when saturating the base in normal form drops a
-    # c_r or c_a conclusion over the budget; one raised before a unit
-    # constant was found stays raised when the store is saturated again,
-    # so with unit constants the flag may only over-report
+    # the flag is raised exactly when saturating the base in normal form
+    # drops a c_r or c_a conclusion over the budget
     cs, agents = _random_constraints(random.Random(seed))
     cl = Closure.close(cs, agents, erl_star=star, max_card=3)
     normal = [_normal(cl, c) for c in cs]
     _, dropped = naive_saturation(normal, agents, erl_star=star,
                                   max_card=cl.effective_card)
-    if cl.units:
-        assert cl.budget_hit >= dropped
-    else:
-        assert cl.budget_hit == dropped
+    assert cl.budget_hit == dropped
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_budget_hit_clears_when_saturated_again(star):
+    # an instance over budget before c1, c2 and c3 join eps's class fits
+    # once they are gone from every label; the flag must not outlive it
+    cs = [ResEq(lmul(C2, C3), EPSILON), AgentEq("u0", C2, C1),
+          ResEq(lmul(C1, C2), C2), ResEq(C1, lmul(C1, C3))]
+    cl = Closure.close(cs, ["u0"], erl_star=star, max_card=3)
+    assert cl.units == {"c1", "c2", "c3"}
+    assert not cl.budget_hit
 
 
 def _normal(cl, c):

@@ -295,6 +295,24 @@ def test_reader_of_interrupted_level_reads_it_whole(monkeypatch):
     assert keys + [m.key() for m in held] == alone
 
 
+def test_level_is_kept_only_once_read_whole():
+    # A stream dropped part way through a level keeps none of it; one read
+    # whole keeps it, and later calls are handed the same frames.
+    sig = Signature.make(["a"], ["e", "r", "s"])
+    key = (sig.agents, sig.resources, sig.unit,
+           frozenset(sig.composition.items()), 1, False)
+    forget_frames()
+    stream = enumerate_models(sig, 1, ["p"], "erl")
+    list(islice(stream, 41))            # level 0 has 40 models
+    del stream
+    assert key not in models._levels
+    first = [m.frame for m in enumerate_models(sig, 1, ["p"], "erl")]
+    assert key in models._levels
+    again = [m.frame for m in enumerate_models(sig, 1, ["p"], "erl")]
+    assert len(again) == len(first)
+    assert all(a is b for a, b in zip(first, again))
+
+
 def test_interleaved_streams_match_one_alone():
     sig = Signature.make(["a"], ["e", "s"])
     forget_frames()
@@ -348,4 +366,4 @@ def test_calls_never_share_tables():
     held = {id(t) for groups in calls for _, _, t in groups}
     assert not {id(w.tables) for w in witnesses} & held
     for level in models._levels.values():
-        assert not any(hasattr(kept, "tables") for kept, _ in level.frames)
+        assert not any(hasattr(kept, "tables") for kept, _ in level)
