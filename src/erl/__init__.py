@@ -3,7 +3,7 @@ constraint closure, countermodel extraction from open branches, a finite
 model checker and enumerator used as a brute-force oracle, and executable
 access-control scenarios."""
 
-from .config import ERL, ERL_STAR, Budget, RunConfig
+from .config import ERL, ERL_STAR, RunConfig
 from .syntax import (Signature, Term, Formula, Atom, Top, Bot, Unit, Not, And,
                      Or, Implies, Star, Wand, Modal, C, D, E, CDUAL, DDUAL,
                      EDUAL, parse_formula, format_formula, expand_duals,

@@ -1,15 +1,17 @@
 """Run configuration: search budgets, logic selection, output control.
 
-Every setting is parsed, checked and defaulted here.  Environment variables
-with the prefix ``ERL_`` (e.g. ``ERL_MAX_CONSTANTS``) override the defaults;
-CLI flags, strings as the variables are, override both.  A value that does
-not parse or is out of range raises ``ConfigError`` naming its source.
+Every setting is a field of ``RunConfig``, parsed, checked and defaulted
+here.  Its flag is the field name with dashes (``--max-constants``), its
+environment variable the name uppercased with the prefix ``ERL_``
+(``ERL_MAX_CONSTANTS``).  The variables override the defaults; CLI flags,
+strings as the variables are, override both.  A value that does not parse
+or is out of range raises ``ConfigError`` naming its source.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -28,45 +30,30 @@ def is_star(logic: str) -> bool:
 
 
 @dataclass(frozen=True)
-class Budget:
-    """Resource limits for proof search and constraint saturation.
+class RunConfig:
+    """Every setting of a run.  The budgets never fail a computation, they
+    truncate it and set a flag: ``max_constants`` caps the fresh label
+    constants of a proof search, ``max_steps`` its rule applications,
+    ``closure_budget`` the cardinality of the labels the constraint closure
+    builds, and ``carrier_bound`` the worlds of a searched countermodel."""
 
-    ``closure_max_card`` bounds the cardinality of labels produced by
-    closure rules.  Budgets never fail a computation, they truncate it and
-    set a flag.
-    """
-
+    logic: str = ERL
     max_constants: int = 8
     max_steps: int = 10_000
-    closure_max_card: int = 6
-
-    def __post_init__(self):
-        if (self.max_constants < 0 or self.max_steps <= 0
-                or self.closure_max_card < 1):
-            raise ValueError("budgets must be positive")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    logic: str = ERL
-    budget: Budget = field(default_factory=Budget)
+    closure_budget: int = 6
     carrier_bound: int = 4
     output: str = "text"
 
     def __post_init__(self):
         is_star(self.logic)
-        if self.carrier_bound < 1:
+        if (self.max_constants < 0 or self.max_steps <= 0
+                or self.closure_budget < 1 or self.carrier_bound < 1):
             raise ValueError("budgets must be positive")
         if self.output not in CHOICES["output"]:
             raise ValueError(f"unknown output mode {self.output!r}")
 
 
-# Override names: the flag is --max-steps for max_steps, the variable
-# ERL_MAX_STEPS.  Budget fields are set on RunConfig.budget.
-_OPTIONS = ("max_constants", "max_steps", "closure_budget", "carrier_bound",
-            "logic", "output")
-_BUDGET_FIELD = {"max_constants": "max_constants", "max_steps": "max_steps",
-                 "closure_budget": "closure_max_card"}
+_OPTIONS = tuple(f.name for f in fields(RunConfig))
 
 
 def flag(name: str) -> str:
@@ -97,12 +84,7 @@ def resolve_config(flags=None) -> RunConfig:
         if value is None:
             continue
         try:
-            value = _parse(name, value)
-            if name in _BUDGET_FIELD:
-                budget = replace(cfg.budget, **{_BUDGET_FIELD[name]: value})
-                cfg = replace(cfg, budget=budget)
-            else:
-                cfg = replace(cfg, **{name: value})
+            cfg = replace(cfg, **{name: _parse(name, value)})
         except ValueError as exc:
             raise ConfigError(f"{source}={value!r}: {exc}") from None
     return cfg

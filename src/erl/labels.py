@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable
 
+from .config import RunConfig
 from .syntax import BASE_OF, C, D, Modal, Term
 
 Label = tuple  # sorted tuple of constant names
@@ -216,20 +217,20 @@ class Closure:
     the branch as undecided rather than trusting saturation.  The flag is
     for the store as it stands: a raised budget or a new saturation from
     ``base`` clears it, and each instance still over budget sets it again.
+    The budget, ``effective_card``, is ``max_card`` or the longest base
+    label, whichever is larger.
     """
 
     def __init__(self, agents: Iterable[str], erl_star: bool = False,
-                 max_card: int | None = None):
+                 max_card: int = RunConfig.closure_budget):
         self.agents = tuple(sorted(agents))
         self.erl_star = erl_star
-        self._max_card_param = max_card
         self.base: list = []
         self._base_facts: set = set()           # fact_of(c) for c in base
-        self._max_base_card = 0
         self.units = frozenset()                # constants c with c ~ eps
         self._steps: dict = {}                  # kept steps: fact -> (rule, premises)
         self._found: list = []                  # constants a union just put in eps's class
-        self.effective_card = 2 if max_card is None else max_card  # label budget
+        self.effective_card = max_card          # label budget
         self._reset()
 
     def _reset(self) -> None:
@@ -248,7 +249,7 @@ class Closure:
 
     @staticmethod
     def close(constraints: Iterable, agents: Iterable[str], erl_star: bool = False,
-              max_card: int | None = None) -> "Closure":
+              max_card: int = RunConfig.closure_budget) -> "Closure":
         cl = Closure(agents, erl_star, max_card)
         cl.add(*constraints)
         return cl
@@ -258,9 +259,7 @@ class Closure:
         old = self.effective_card
         facts = [fact_of(c) for c in constraints]
         for fact in facts:
-            self._max_base_card = max(self._max_base_card, *map(len, fact_labels(fact)))
-        self.effective_card = (2 + self._max_base_card if self._max_card_param is None
-                               else max(self._max_card_param, self._max_base_card))
+            self.effective_card = max(self.effective_card, *map(len, fact_labels(fact)))
         self.base.extend(constraints)
         self._base_facts.update(facts)
         for fact in facts:

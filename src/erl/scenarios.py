@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 
 from .checker import WorldNotInCarrier, satisfies, valid_in_model
-from .config import ERL, ERL_STAR
+from .config import CHOICES, ERL, ERL_STAR
 from .errors import ErlError, UnknownAgentError
 from .models import load_model, validate_model
 from .syntax import (Signature, load_signature, parse_formula, read_json,
@@ -164,9 +164,11 @@ def scenario_to_json(s: Scenario) -> dict:
     }
 
 
-# the arguments each replay step kind reads
-_REPLAY_ARGS = {"compose": ("left", "right"), "equiv": ("agent", "left", "right"),
-                "holds": ("formula", "world")}
+# the string arguments each replay step kind needs, then the one it may
+# take and that one's JSON type
+_REPLAY_ARGS = {"compose": (("left", "right"), "result", "str | None"),
+                "equiv": (("agent", "left", "right"), "expect", "bool"),
+                "holds": (("formula", "world"), "expect", "bool")}
 _EXPECT = ("valid", "invalid", "satisfied", "falsified")
 
 
@@ -181,21 +183,33 @@ def load_scenario(source) -> Scenario:
         raise ErlError("'name' and 'description' must be strings")
     sig = load_signature(data["signature"])
     logic = data.get("logic", ERL_STAR)
-    if logic not in (ERL, ERL_STAR):
+    if logic not in CHOICES["logic"]:
         raise ErlError(f"logic must be {ERL!r} or {ERL_STAR!r}, got {logic!r}")
     queries = [_from_json(Query, q) for q in data.get("queries", [])]
     replay = [_from_json(ReplayStep, r) for r in data.get("replay", [])]
     for q in queries:
         if q.expect not in _EXPECT:
             raise ErlError(f"query {q.formula!r}: expect must be one of {_EXPECT}")
+        if (q.world is None) != (q.expect in ("valid", "invalid")):
+            raise ErlError(f"query {q.formula!r}: a {q.expect} query "
+                           f"{'needs a' if q.world is None else 'takes no'} world")
+        if q.witness is not None and q.expect != "invalid":
+            raise ErlError(f"query {q.formula!r}: only an invalid query takes a witness")
     for step in queries + replay:
         if step.model not in data["models"]:
             raise ErlError(f"no model {step.model!r} in the scenario")
     for step in replay:
-        needed = _REPLAY_ARGS.get(step.kind, ())
+        if step.kind not in _REPLAY_ARGS:
+            raise ErlError(f"unknown replay kind {step.kind!r}; "
+                           f"expected one of {list(_REPLAY_ARGS)}")
+        needed, optional, json_type = _REPLAY_ARGS[step.kind]
         if not all(isinstance(step.args.get(k), str) for k in needed):
             raise ErlError(f"replay step {step.kind!r} needs string arguments "
                            f"{list(needed)}")
+        value = step.args.get(optional)
+        if optional in step.args and not isinstance(value, _JSON_TYPES[json_type]):
+            raise ErlError(f"replay step {step.kind!r}: {optional!r} must be "
+                           f"{json_type}, got {value!r}")
     return Scenario(
         name=data["name"],
         description=data.get("description", ""),
@@ -207,8 +221,10 @@ def load_scenario(source) -> Scenario:
     )
 
 
-# the JSON types of the fields of Query and ReplayStep, by annotation
-_JSON_TYPES = {"str": str, "str | None": (str, type(None)), "dict": dict}
+# the JSON types of the fields of Query and ReplayStep, by annotation, and
+# of the optional replay arguments
+_JSON_TYPES = {"str": str, "str | None": (str, type(None)), "dict": dict,
+               "bool": bool}
 
 
 def _from_json(cls, data):

@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 
 from .closing import (F, T, SignedFormula, branch_witness, closing_witness,
                       describe_closure_witness)
-from .config import Budget, RunConfig, is_star
+from .config import RunConfig, is_star
 from .labels import (AgentEq, Closure, EPSILON, ResEq, fact_str, label,
                      label_str, lam, lmul, lsub, fresh_constant_name,
                      modal_partners, modal_source)
@@ -333,10 +333,13 @@ class ProofOutcome:
 
 
 class Tableau:
-    def __init__(self, phi: Formula, sig: Signature, logic: str = "erl",
-                 closure_max_card: int = Budget.closure_max_card):
+    """The branches of a proof search for ``phi``, rooted at ``F phi : c1``.
+    Each closure's label budget is ``config.closure_budget``, or the longest
+    base label when that is longer (see ``Closure``)."""
+
+    def __init__(self, phi: Formula, sig: Signature, config: RunConfig = RunConfig()):
         self.sig = sig
-        self.logic = logic
+        self.logic = config.logic
         self.phi = phi
         self.depth = 0                  # the most fresh constants beyond c1 asked for
         self.used_constants = 1         # c1 is consumed by the root
@@ -344,8 +347,8 @@ class Tableau:
         self.trace: list = []
         self.closed_log: list = []
         self.applications = 0
-        closure = Closure(sorted(sig.agents), erl_star=is_star(logic),
-                          max_card=closure_max_card)
+        closure = Closure(sorted(sig.agents), erl_star=is_star(config.logic),
+                          max_card=config.closure_budget)
         root = Branch(self._new_id(), closure)
         c1 = label(fresh_constant_name(1))
         # the signature's products hold in every model, so at the root too
@@ -417,7 +420,7 @@ class Tableau:
 # Proof search
 
 
-def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> ProofOutcome:
+def prove(phi: Formula, sig: Signature, config: RunConfig = RunConfig()) -> ProofOutcome:
     """Three-valued proof search: one tableau, fair scheduling, verified
     countermodels on refutation.
 
@@ -436,11 +439,8 @@ def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> Proo
     pruning only gives up on a branch and so keeps every verdict sound.
     The search goes on with the other branches, for a refutation or
     ``unknown``."""
-    config = config or RunConfig()
-    budget = config.budget
-    t = Tableau(phi, sig, config.logic,
-                closure_max_card=budget.closure_max_card)
-    t.depth = min(1, budget.max_constants)
+    t = Tableau(phi, sig, config)
+    t.depth = min(1, config.max_constants)
     hopeless = False            # an open branch is out of work: no proof
     while True:
         target = None
@@ -455,13 +455,13 @@ def prove(phi: Formula, sig: Signature, config: RunConfig | None = None) -> Proo
             elif b.hintikka_state is None and (refutation := _saturated(t, b)):
                 return refutation
             hopeless = True
-        if target is None or t.applications >= budget.max_steps:
+        if target is None or t.applications >= config.max_steps:
             break
         b = t.branches[target]
         ri = b.pop()
         need = t.used_constants - 1 + FRESH_NEED.get(ri.rule, 0)
-        t.depth = max(t.depth, min(need, budget.max_constants))
-        if need > budget.max_constants:
+        t.depth = max(t.depth, min(need, config.max_constants))
+        if need > config.max_constants:
             b.starved = True
             continue
         t._apply(target, ri)

@@ -272,8 +272,7 @@ def restart_prove(phi, sig, config):
     """Iterative deepening by restarts: one attempt per depth, each on a
     new tableau; a shallow attempt aborts at the first instance it cannot
     afford, and the last one starves such branches and goes on."""
-    budget = config.budget
-    depths = list(range(1, budget.max_constants + 1)) or [0]
+    depths = list(range(1, config.max_constants + 1)) or [0]
     for depth in depths:
         outcome = _attempt(phi, sig, config, depth,
                            abort_on_starve=depth != depths[-1])
@@ -284,8 +283,7 @@ def restart_prove(phi, sig, config):
 
 
 def _attempt(phi, sig, config, depth, abort_on_starve):
-    t = Tableau(phi, sig, config.logic,
-                closure_max_card=config.budget.closure_max_card)
+    t = Tableau(phi, sig, config)
     t.depth = depth
     hopeless = False
     while True:
@@ -303,7 +301,7 @@ def _attempt(phi, sig, config, depth, abort_on_starve):
             elif b.hintikka_state is None and (refutation := _saturated(t, b)):
                 return refutation
             hopeless = True
-        if target is None or t.applications >= config.budget.max_steps:
+        if target is None or t.applications >= config.max_steps:
             return _aggregate(t, steps_exhausted=target is not None)
         b = t.branches[target]
         ri = b.pop()

@@ -7,7 +7,7 @@ import json
 import random
 import time
 
-from erl import (Budget, RunConfig, Signature, enumerate_models,
+from erl import (RunConfig, Signature, enumerate_models,
                  expand_duals, find_countermodel, parse_formula, prove,
                  satisfies, satisfies_direct, truth_set, valid_in_model,
                  validate_model)

@@ -1,9 +1,11 @@
 import json
 import re
+from dataclasses import fields, replace
 
 import pytest
 
-from erl.cli import main
+from erl.cli import SETTINGS as READ, main
+from erl.config import CHOICES, RunConfig, resolve_config
 
 SIG = {"agents": ["a"], "resources": ["e", "r", "s"], "unit": "e",
        "composition": []}
@@ -261,7 +263,19 @@ def test_malformed_scenario_exit(tmp_path, capsys):
                                      "args": {"formula": 5, "world": "e"}}]},
                 {**good, "replay": [{**step, "kind": "equiv",
                                      "args": {"agent": ["alpha"], "left": "e",
-                                              "right": "e"}}]}]:
+                                              "right": "e"}}]},
+                # read only when run, or misread: a world or a witness the
+                # query's verdict does not take, a replay argument of the
+                # wrong JSON type, a replay kind nothing runs
+                {**good, "queries": [{**query, "expect": "satisfied"}]},
+                {**good, "queries": [{**query, "world": "zz"}]},
+                {**good, "queries": [{**query, "witness": "e"}]},
+                {**good, "replay": [{**step, "kind": "holds",
+                                     "args": {"formula": "U", "world": "k12",
+                                              "expect": "false"}}]},
+                {**good, "replay": [{**step, "args": {**step["args"],
+                                                      "result": 5}}]},
+                {**good, "replay": [{**step, "kind": "bogus"}]}]:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(bad))
         capsys.readouterr()
@@ -359,3 +373,21 @@ def test_scenario_dump_refuses_text_output(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: --output=") and \
         captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+def test_each_setting_reaches_its_field(field, monkeypatch):
+    name, default = field.name, field.default
+    value = (next(c for c in CHOICES[name] if c != default)
+             if name in CHOICES else default + 1)
+    monkeypatch.delenv(f"ERL_{name.upper()}", raising=False)
+    expected = replace(RunConfig(), **{name: value})
+    assert resolve_config({name: str(value)}) == expected
+    monkeypatch.setenv(f"ERL_{name.upper()}", str(value))
+    assert resolve_config() == expected
+    assert resolve_config({name: str(default)}) == RunConfig()
+
+
+def test_every_read_setting_is_a_field():
+    names = {f.name for f in fields(RunConfig)}
+    assert all(set(read) <= names for read in READ.values())

@@ -14,8 +14,8 @@ C1, C2, C3, C4 = label("c1"), label("c2"), label("c3"), label("c4")
 LS, LR = label("s"), label("r")
 
 
-def close(cs, agents=("u",), erl_star=False, max_card=None):
-    return Closure.close(cs, agents, erl_star=erl_star, max_card=max_card)
+def close(cs, agents=("u",), **kw):
+    return Closure.close(cs, agents, **kw)
 
 
 def test_label_primitives():
@@ -127,13 +127,13 @@ def test_incremental_matches_batch():
 
 
 def test_budget_raise_matches_batch():
-    # the second constraint raises the default budget from 4 to 5, so
-    # instances suppressed under the first add fire in the second
-    first, second = ResEq(C1, lmul(C1, LS)), ResEq(C2, lmul(C2, C3, C4))
-    inc = close([first])
+    # the second constraint's 5-constant label raises the budget from 4 to
+    # 5, so instances suppressed under the first add fire in the second
+    first, second = ResEq(C1, lmul(C1, LS)), ResEq(C2, lmul(C2, C3, C4, LR, LS))
+    inc = close([first], max_card=4)
     assert inc.effective_card == 4 and inc.budget_hit
     inc.add(second)
-    batch = close([first, second])
+    batch = close([first, second], max_card=4)
     assert inc.effective_card == batch.effective_card == 5
     assert set(inc.facts()) == set(batch.facts())
     assert inc.has_res(lmul(C1, LS, LS, LS, LS), C1)

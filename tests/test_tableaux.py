@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import erl
-from erl import (And, Atom, Budget, Not, RunConfig, Signature, Star,
+from erl import (And, Atom, Not, RunConfig, Signature, Star,
                  parse_formula, prove, find_countermodel, satisfies,
                  validate_model)
 from erl.labels import AgentEq, ResEq, label, lmul
@@ -16,8 +16,7 @@ from erl.tableaux import Branch, SignedFormula, Tableau
 
 
 def cfg(logic="erl", **kw):
-    budget = Budget(**kw) if kw else Budget()
-    return RunConfig(logic=logic, budget=budget)
+    return RunConfig(logic=logic, **kw)
 
 
 def queued(b):
@@ -188,7 +187,7 @@ def test_star_law_needs_compatibility(sig_st):
 def test_closure_budget_degrades_to_unknown(sig_bbi):
     phi = parse_formula("(p * q) * q -> p * (q * q)", sig_bbi)
     out = prove(phi, sig_bbi,
-                RunConfig(budget=Budget(closure_max_card=1, max_steps=500)))
+                RunConfig(closure_budget=1, max_steps=500))
     assert out.verdict == "unknown"
     assert out.diagnostics.get("closure_budget_hit") or \
         out.diagnostics.get("steps_exhausted")
@@ -300,7 +299,7 @@ def test_in_place_deepening_is_exact(budget):
                 == json.dumps(restart_prove(phi, sig, config).to_json(),
                               sort_keys=True)), (phi, logic)
         depths.add(out.depth)
-    assert {1, 2, config.budget.max_constants} <= depths
+    assert {1, 2, config.max_constants} <= depths
 
 
 def test_pruned_branches_end_unknown_early():
