@@ -6,7 +6,7 @@ access-control scenarios."""
 from .config import ERL, ERL_STAR, RunConfig
 from .syntax import (Signature, Term, Formula, Atom, Top, Bot, Unit, Not, And,
                      Or, Implies, Star, Wand, Modal, C, D, E, CDUAL, DDUAL,
-                     EDUAL, parse_formula, format_formula, expand_duals,
+                     EDUAL, parse_formula, format_formula,
                      validate_signature, load_signature, signature_to_json,
                      term_of)
 from .labels import (Closure, ResEq, AgentEq, EPSILON, label, lam, label_str)

@@ -99,10 +99,7 @@ def _run_query(s: Scenario, models: dict, q: Query) -> ReportEntry:
         (f" at {q.world}" if q.world else "")
     if q.note:
         label += f" ({q.note})"
-    try:
-        phi = parse_formula(q.formula, s.sig)
-    except ErlError as exc:
-        return ReportEntry(label, False, f"parse error: {exc}")
+    phi = parse_formula(q.formula, s.sig)
     m = models[q.model]
     if q.expect == "valid":
         ok, world = valid_in_model(m, phi)
@@ -127,12 +124,6 @@ def _run_replay(models: dict, step: ReplayStep) -> ReportEntry:
     label = f"replay[{step.model}] {step.kind} {a}"
     if step.note:
         label += f" ({step.note})"
-    if step.kind in ("compose", "equiv"):
-        for world in (a["left"], a["right"]):
-            if world not in m.index:
-                raise WorldNotInCarrier(world)
-    if step.kind == "equiv" and a["agent"] not in m.sig.agents:
-        raise UnknownAgentError(a["agent"])
     if step.kind == "compose":
         got = m.compose(a["left"], a["right"])
         want = a.get("result")
@@ -141,11 +132,9 @@ def _run_replay(models: dict, step: ReplayStep) -> ReportEntry:
         cls = m.classmask[a["agent"]][m.index[a["left"]]]
         got = bool(cls >> m.index[a["right"]] & 1)
         return ReportEntry(label, got == a.get("expect", True), f"got {got}")
-    if step.kind == "holds":
-        phi = parse_formula(a["formula"], m.sig)
-        got = satisfies(m, a["world"], phi)
-        return ReportEntry(label, got == a.get("expect", True), f"got {got}")
-    return ReportEntry(label, False, f"unknown replay kind {step.kind}")
+    phi = parse_formula(a["formula"], m.sig)
+    got = satisfies(m, a["world"], phi)
+    return ReportEntry(label, got == a.get("expect", True), f"got {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +176,10 @@ def load_scenario(source) -> Scenario:
         raise ErlError(f"logic must be {ERL!r} or {ERL_STAR!r}, got {logic!r}")
     queries = [_from_json(Query, q) for q in data.get("queries", [])]
     replay = [_from_json(ReplayStep, r) for r in data.get("replay", [])]
+    models = {name: load_model(m, sig)[0] for name, m in data["models"].items()}
+    for step in queries + replay:
+        if step.model not in models:
+            raise ErlError(f"no model {step.model!r} in the scenario")
     for q in queries:
         if q.expect not in _EXPECT:
             raise ErlError(f"query {q.formula!r}: expect must be one of {_EXPECT}")
@@ -195,9 +188,8 @@ def load_scenario(source) -> Scenario:
                            f"{'needs a' if q.world is None else 'takes no'} world")
         if q.witness is not None and q.expect != "invalid":
             raise ErlError(f"query {q.formula!r}: only an invalid query takes a witness")
-    for step in queries + replay:
-        if step.model not in data["models"]:
-            raise ErlError(f"no model {step.model!r} in the scenario")
+        parse_formula(q.formula, sig)
+        _check_worlds(models[q.model], q.world, q.witness)
     for step in replay:
         if step.kind not in _REPLAY_ARGS:
             raise ErlError(f"unknown replay kind {step.kind!r}; "
@@ -210,6 +202,14 @@ def load_scenario(source) -> Scenario:
         if optional in step.args and not isinstance(value, _JSON_TYPES[json_type]):
             raise ErlError(f"replay step {step.kind!r}: {optional!r} must be "
                            f"{json_type}, got {value!r}")
+        a = step.args
+        worlds = [a.get(k) for k in (*needed, optional)
+                  if k in ("left", "right", "result", "world")]
+        _check_worlds(models[step.model], *worlds)
+        if step.kind == "equiv" and a["agent"] not in sig.agents:
+            raise UnknownAgentError(a["agent"])
+        if step.kind == "holds":
+            parse_formula(a["formula"], sig)
     return Scenario(
         name=data["name"],
         description=data.get("description", ""),
@@ -219,6 +219,13 @@ def load_scenario(source) -> Scenario:
         replay=replay,
         logic=logic,
     )
+
+
+def _check_worlds(m, *worlds) -> None:
+    """A WorldNotInCarrier for the first given world outside m's carrier."""
+    for world in worlds:
+        if world is not None and world not in m.index:
+            raise WorldNotInCarrier(world)
 
 
 # the JSON types of the fields of Query and ReplayStep, by annotation, and

@@ -393,20 +393,6 @@ def atoms_of(phi: Formula) -> set[str]:
     return {f.name for f in subformulas(phi) if isinstance(f, Atom)}
 
 
-def expand_duals(phi: Formula) -> Formula:
-    """Rewrite every dual modality into not-base-not form; no other change."""
-    if isinstance(phi, Modal):
-        body = expand_duals(phi.body)
-        if phi.op in BASE_OF:
-            return Not(Modal(BASE_OF[phi.op], phi.agent, phi.term, Not(body)))
-        return Modal(phi.op, phi.agent, phi.term, body)
-    if isinstance(phi, Not):
-        return Not(expand_duals(phi.body))
-    if isinstance(phi, (And, Or, Implies, Star, Wand)):
-        return type(phi)(expand_duals(phi.left), expand_duals(phi.right))
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # Parser
 

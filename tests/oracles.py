@@ -1,20 +1,107 @@
 """Independent brute-force oracles the engine implementations are checked
 against, and helpers only the tests need.  Everything here is written for
-clarity, not speed.  The oracles share no code path with the modules under
-test, with two exceptions: the closure checks ``derived_rule_check`` and
-``corollary_check`` read a closure through its public queries, and
-``restart_prove``, iterative deepening by a new tableau per depth that
-``prove``'s one run capped at ``max_constants`` must match, runs on the same
-``Tableau`` and outcome helpers."""
+clarity, not speed.
+
+The label arithmetic below (``mul``, ``sub``, ``splits``, ``sublabels``,
+``fact_of``) is this module's own: the closure oracles ``replay``,
+``replay_step``, ``naive_saturation``, ``derived_rule_check`` and
+``corollary_check`` use it, and take from ``erl.labels`` only the data
+types ``Closure``, ``ResEq`` and ``AgentEq``, so a fault in the closure's
+arithmetic cannot pass them unseen.  The other oracles share no code path
+with the modules under test either, with two exceptions:
+``derived_rule_check``, ``corollary_check`` and ``replay`` read a closure
+through its public queries, and ``restart_prove``, iterative deepening by a
+new tableau per depth that ``prove``'s one run capped at ``max_constants``
+must match, runs on the same ``Tableau`` and outcome helpers."""
 
 from copy import deepcopy
 from dataclasses import replace
+from functools import cache
 from itertools import product
 
 from erl import models
-from erl.labels import (EPSILON, Closure, const_key, fact_labels, fact_of,
-                        lmul, lsub, splits_of, sublabels)
+from erl.labels import AgentEq, Closure, ResEq
+from erl.syntax import (C, CDUAL, D, DDUAL, E, EDUAL, And, Implies, Modal, Not,
+                        Or, Star, Wand)
 from erl.tableaux import FRESH_NEED, Tableau, _aggregate, _saturated
+
+# ---------------------------------------------------------------------------
+# Labels: sorted tuples of constants, fresh constants c<n> first in numeric
+# order, then names in string order.
+
+EPSILON = ()
+
+
+@cache
+def order(c: str) -> tuple:
+    """The sort key of a constant."""
+    digits = c[1:]
+    if c[:1] == "c" and digits.isascii() and digits.isdigit():
+        return (0, int(digits), "")
+    return (1, 0, c)
+
+
+def mul(*labels) -> tuple:
+    """The multiset union of ``labels``, in canonical order."""
+    return tuple(sorted((c for x in labels for c in x), key=order))
+
+
+def sub(x: tuple, y: tuple) -> tuple | None:
+    """The multiset difference x - y, or None when y is not part of x."""
+    rest, i = [], 0
+    for c in x:
+        if i < len(y) and c == y[i]:
+            i += 1
+        else:
+            rest.append(c)
+    return tuple(rest) if i == len(y) else None
+
+
+@cache
+def splits(x: tuple) -> tuple:
+    """Every pair (y, z) with y.z = x, the number of copies of x's first
+    constant in y varying slowest."""
+    if not x:
+        return (((), ()),)
+    n = x.count(x[0])
+    head, rest = x[0], splits(x[n:])
+    return tuple(((head,) * i + y, (head,) * (n - i) + z)
+                 for i in range(n + 1) for y, z in rest)
+
+
+def sublabels(x: tuple) -> list:
+    """Every sub-multiset of x, EPSILON and x included."""
+    return [y for y, _ in splits(x)]
+
+
+def fact_of(c) -> tuple:
+    """The fact key of a constraint: ("r", x, y) or ("a", u, x, y)."""
+    if isinstance(c, ResEq):
+        return ("r", c.left, c.right)
+    return ("a", c.agent, c.left, c.right)
+
+
+# ---------------------------------------------------------------------------
+# Formulas
+
+_BASE_OF_DUAL = {CDUAL: C, DDUAL: D, EDUAL: E}
+
+
+def expand_duals(phi):
+    """Rewrite every dual modality into not-base-not form; no other change."""
+    if isinstance(phi, Modal):
+        body = expand_duals(phi.body)
+        if phi.op in _BASE_OF_DUAL:
+            return Not(Modal(_BASE_OF_DUAL[phi.op], phi.agent, phi.term, Not(body)))
+        return Modal(phi.op, phi.agent, phi.term, body)
+    if isinstance(phi, Not):
+        return Not(expand_duals(phi.body))
+    if isinstance(phi, (And, Or, Implies, Star, Wand)):
+        return type(phi)(expand_duals(phi.left), expand_duals(phi.right))
+    return phi
+
+
+# ---------------------------------------------------------------------------
 
 
 def forget_frames() -> None:
@@ -26,7 +113,7 @@ def forget_frames() -> None:
 
 def alphabet(cl: Closure) -> list:
     """The constants of the closure's domain labels."""
-    return sorted({c for x in cl.domain() for c in x}, key=const_key)
+    return sorted({c for x in cl.domain() for c in x}, key=order)
 
 
 def res_facts(cl: Closure) -> list:
@@ -66,8 +153,7 @@ def naive_saturation(constraints, agents, erl_star=False, max_card=8):
     facts.update(fact_of(c) for c in constraints)
 
     def fits(fact):
-        labels = (fact[1], fact[2]) if fact[0] == "r" else (fact[2], fact[3])
-        return all(len(side) <= max_card for side in labels)
+        return all(len(side) <= max_card for side in fact[-2:])
 
     changed = True
     while changed:
@@ -79,8 +165,8 @@ def naive_saturation(constraints, agents, erl_star=False, max_card=8):
         for (x, y) in res:
             new.add(("r", y, x))                              # s_r
             if x == y:
-                for sub in sublabels(x):                      # d_r
-                    new.add(("r", sub, sub))
+                for part in sublabels(x):                     # d_r
+                    new.add(("r", part, part))
                 for v in agents:                              # r_a
                     new.add(("a", v, x, x))
         for (x, y) in res:
@@ -88,9 +174,9 @@ def naive_saturation(constraints, agents, erl_star=False, max_card=8):
                 if y == y2:
                     new.add(("r", x, z))
             for w in refl:                                    # c_r
-                k = lsub(w, y)
+                k = sub(w, y)
                 if k is not None:
-                    new.add(("r", lmul(x, k), w))
+                    new.add(("r", mul(x, k), w))
                     dropped |= len(x) + len(k) > max_card
         for (u, x, y) in ag:
             new.add(("a", u, y, x))                           # s_a
@@ -103,9 +189,9 @@ def naive_saturation(constraints, agents, erl_star=False, max_card=8):
                     new.add(("a", u, k, y))
             if erl_star:
                 for w in refl:                                # c_a
-                    k = lsub(w, y)
+                    k = sub(w, y)
                     if k is not None:
-                        new.add(("a", u, lmul(x, k), w))
+                        new.add(("a", u, mul(x, k), w))
                         dropped |= len(x) + len(k) > max_card
         new = {f for f in new if fits(f)}
         if not new <= facts:
@@ -204,21 +290,21 @@ def derived_rule_check(cl: Closure) -> list[tuple]:
     violating instances (empty = all hold)."""
     bad = []
     for (x, y) in res_facts(cl):
-        for sub in sublabels(x):          # p_l
-            if not cl.has_res(sub, sub):
-                bad.append(("p_l", (x, y), sub))
-        for sub in sublabels(y):          # p_r
-            if not cl.has_res(sub, sub):
-                bad.append(("p_r", (x, y), sub))
+        for part in sublabels(x):          # p_l
+            if not cl.has_res(part, part):
+                bad.append(("p_l", (x, y), part))
+        for part in sublabels(y):          # p_r
+            if not cl.has_res(part, part):
+                bad.append(("p_r", (x, y), part))
     class_of, classes = cl.classes()
     linked: set = set()
     for (u, x, y) in agent_facts(cl):
-        for sub in sublabels(x):          # q_l
-            if not cl.has_res(sub, sub):
-                bad.append(("q_l", (u, x, y), sub))
-        for sub in sublabels(y):          # q_r
-            if not cl.has_res(sub, sub):
-                bad.append(("q_r", (u, x, y), sub))
+        for part in sublabels(x):          # q_l
+            if not cl.has_res(part, part):
+                bad.append(("q_l", (u, x, y), part))
+        for part in sublabels(y):          # q_r
+            if not cl.has_res(part, part):
+                bad.append(("q_r", (u, x, y), part))
         linked.add((u, class_of[x], class_of[y]))
     # w_a: the agent relation must be a union of products of resource classes
     for (u, cx, cy) in sorted(linked):
@@ -241,17 +327,17 @@ def corollary_check(cl: Closure) -> list[tuple]:
             if not cl.has_agent(u, x, x):
                 bad.append(("refl_a", u, x))
     for fact in cl.facts():
-        for side in fact_labels(fact):
-            for sub in sublabels(side):
-                if sub not in dom:
-                    bad.append(("domain", fact, sub))
+        for side in fact[-2:]:
+            for part in sublabels(side):
+                if part not in dom:
+                    bad.append(("domain", fact, part))
     cap = cl.effective_card
     class_of, classes = cl.classes()
     # juxtaposition congruence, checked once per pair of classes whose
     # members compose into the domain
     composed: dict = {}
     for xy in dom:
-        for (x, y) in splits_of(xy):
+        for (x, y) in splits(xy):
             key = (class_of[x], class_of[y])
             prev = composed.get(key)
             if prev is not None and prev != class_of[xy]:
@@ -262,10 +348,63 @@ def corollary_check(cl: Closure) -> list[tuple]:
             for y2 in classes[cy]:
                 if len(x2) + len(y2) > cap:
                     continue
-                prod = lmul(x2, y2)
+                prod = mul(x2, y2)
                 if class_of.get(prod) != cxy:
                     bad.append(("juxtaposition", (x2, y2), prod))
     return bad
+
+
+def replay(cl: Closure) -> list[tuple]:
+    """Re-derive every fact of the closure from its derivation step; returns
+    the facts whose steps do not replay."""
+    return [f for f in cl.facts() if not replay_step(cl, *cl.derivation(f), f)]
+
+
+def replay_step(cl: Closure, rule: str, premises: tuple, fact: tuple) -> bool:
+    """Whether ``fact`` is exactly what ``rule`` concludes from ``premises``,
+    all of them facts of the closure."""
+    if not all(p in cl for p in premises):
+        return False
+    if rule == "base":
+        return fact in {fact_of(c) for c in cl.base}
+    if rule == "eps":
+        return fact == ("r", EPSILON, EPSILON)
+    if rule == "s_r":
+        (_, x, y), = premises
+        return fact == ("r", y, x)
+    if rule == "d_r":
+        (_, w, w2), = premises
+        return w == w2 and fact[0] == "r" and fact[1] == fact[2] \
+            and sub(w, fact[1]) is not None
+    if rule == "t_r":
+        (_, x, y), (_, y2, z) = premises
+        return y == y2 and fact == ("r", x, z)
+    if rule == "c_r":
+        (_, x, y), (_, w, w2) = premises
+        k = sub(w, y)
+        return w == w2 and k is not None and fact == ("r", mul(x, k), w)
+    if rule == "k_r":
+        (_, u, x, y), = premises
+        return fact == ("r", x, x)
+    if rule == "r_a":
+        (_, x, x2), = premises
+        return x == x2 and fact[0] == "a" and fact[1] in cl.agents \
+            and fact[2:] == (x, x)
+    if rule == "s_a":
+        (_, u, x, y), = premises
+        return fact == ("a", u, y, x)
+    if rule == "t_a":
+        (_, u, x, y), (_, u2, y2, z) = premises
+        return u == u2 and y == y2 and fact == ("a", u, x, z)
+    if rule == "k_a":
+        (_, u, x, y), (_, x2, k) = premises
+        return x == x2 and fact == ("a", u, k, y)
+    if rule == "c_a":
+        (_, u, x, y), (_, w, w2) = premises
+        k = sub(w, y)
+        return cl.erl_star and w == w2 and k is not None \
+            and fact == ("a", u, mul(x, k), w)
+    return False
 
 
 def restart_prove(phi, sig, config):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from erl import (Atom, Modal, Not, Signature, Top, Unit, CDUAL, C,
-                 enumerate_models, expand_duals, find_countermodel,
+                 enumerate_models, find_countermodel,
                  make_model, model_to_json, parse_formula, sample_models, satisfies,
                  satisfies_direct, term_of, truth_set, valid_in_model)
 from erl.checker import WorldNotInCarrier, explain
@@ -12,7 +12,7 @@ from erl.models import TABLES
 from erl.syntax import MODAL_OPS, UNIVERSAL, atoms_of, subformulas
 
 from conftest import random_formula
-from oracles import forget_frames
+from oracles import expand_duals, forget_frames
 from test_models import paper_countermodel
 
 

@@ -275,7 +275,22 @@ def test_malformed_scenario_exit(tmp_path, capsys):
                                               "expect": "false"}}]},
                 {**good, "replay": [{**step, "args": {**step["args"],
                                                       "result": 5}}]},
-                {**good, "replay": [{**step, "kind": "bogus"}]}]:
+                {**good, "replay": [{**step, "kind": "bogus"}]},
+                # checked at load, not first met when run: a world outside
+                # the carrier, an unknown agent, a formula that does not parse
+                {**good, "queries": [{**query, "expect": "invalid",
+                                      "witness": "nowhere"}]},
+                {**good, "queries": [{**query, "expect": "satisfied",
+                                      "world": "nowhere"}]},
+                {**good, "queries": [{**query, "formula": "<D zeta; k1> top"}]},
+                {**good, "queries": [{**query, "formula": "top &"}]},
+                {**good, "replay": [{**step, "kind": "holds",
+                                     "args": {"formula": "top", "world": "nowhere"}}]},
+                {**good, "replay": [{**step, "args": {**step["args"],
+                                                      "result": "nowhere"}}]},
+                {**good, "replay": [{**step, "kind": "holds",
+                                     "args": {"formula": "<D zeta; k1> top",
+                                              "world": "e"}}]}]:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(bad))
         capsys.readouterr()

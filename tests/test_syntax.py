@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from erl import (And, Atom, Implies, Modal, Not, Signature, Star, Top, Unit,
-                 C, D, CDUAL, DDUAL, expand_duals, format_formula,
+                 C, D, CDUAL, DDUAL, format_formula,
                  parse_formula, term_of, validate_signature)
 from erl.errors import ParseError, SignatureError, UnknownAgentError, \
     UnknownResourceError
 from erl.syntax import load_signature, signature_to_json
 
 from conftest import random_formula
-from oracles import check_signature_axioms
+from oracles import check_signature_axioms, expand_duals
 
 
 @pytest.mark.parametrize("text,position", [
