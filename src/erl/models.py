@@ -649,16 +649,19 @@ def _bell(n: int) -> int:
 
 
 def estimate_stream(sig: Signature, max_extra: int, atoms: Iterable[str]) -> int:
-    """Loose upper bound on the number of models the enumeration may yield;
-    the sum stops as soon as it passes ``DEFAULT_STREAM_CAP``."""
+    """Loose upper bound on the number of models the enumeration may yield:
+    the product of the option counts of ``_cells`` over n worlds (n + 1 with
+    a fresh factor, 1 for a defined product, extra + 1 otherwise) times the
+    agent partitions and the valuations, summed until past the cap."""
     total = 0
-    n_res = len(sig.resources)
     n_atoms = len(tuple(atoms))
     n_agents = max(1, len(sig.agents))
+    res_cells = len(sig.resources) * (len(sig.resources) - 1) // 2  # off the unit
     for extra in range(max_extra + 1):
-        n = n_res + extra
-        cells = n * (n + 1) // 2 - n  # non-unit unordered pairs
-        total += (n + 1) ** cells * _bell(n) ** n_agents * (1 << (n * n_atoms))
+        n = len(sig.resources) + extra
+        options = ((n + 1) ** (n * (n - 1) // 2 - res_cells)
+                   * (extra + 1) ** (res_cells - len(sig.composition)))
+        total += options * _bell(n) ** n_agents * (1 << (n * n_atoms))
         if total > DEFAULT_STREAM_CAP:
             return total
     return total

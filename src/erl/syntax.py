@@ -77,10 +77,13 @@ class Signature:
     def make(agents: Iterable[str], resources: Iterable[str], unit: str = "e",
              composition: Iterable[tuple[str, str, str]] = ()) -> "Signature":
         """Build a signature, completing commuted orientations and dropping
-        redundant unit rows.  Inconsistent duplicate rows raise."""
+        redundant unit rows; raises on inconsistent rows and violated axioms."""
         res = frozenset(resources) | {unit}
         table = composition_cells(composition, unit, SignatureError)
-        return Signature(frozenset(agents), res, unit, table)
+        sig = Signature(frozenset(agents), res, unit, table)
+        if violations := validate_signature(sig):
+            raise SignatureError("invalid signature: " + "; ".join(map(str, violations)))
+        return sig
 
     def compose(self, r: str, s: str) -> str | None:
         if r == self.unit:
@@ -233,17 +236,13 @@ def load_signature(source) -> Signature:
     unit = data.get("unit", "e")
     if not isinstance(unit, str):
         raise SignatureError(f"unit must be a name, got {unit!r}")
-    sig = Signature.make(
+    return Signature.make(
         json_names(data.get("agents", []), "agents", SignatureError),
         json_names(data["resources"], "resources", SignatureError),
         unit,
         [json_names(row, "a composition row", SignatureError, 3)
          for row in data.get("composition", [])],
     )
-    violations = validate_signature(sig)
-    if violations:
-        raise SignatureError("invalid signature: " + "; ".join(map(str, violations)))
-    return sig
 
 
 def signature_to_json(sig: Signature) -> dict:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, NamedTuple
 
 from .closing import (F, T, SignedFormula, branch_witness, closing_witness,
@@ -186,7 +187,9 @@ def condition_fact(sf: SignedFormula, inst: tuple):
 
 
 class Branch:
-    """One CSS: signed formulas, the closure of its constraints, scheduler state."""
+    """One CSS: signed formulas, the closure of its constraints, scheduler
+    state.  A clone shares its parent's closure, both marked ``shared``;
+    ``add_constraints``, the only writer of a closure, copies a shared one."""
 
     def __init__(self, bid: int, closure: Closure):
         self.id = bid
@@ -200,7 +203,7 @@ class Branch:
         self.cond_sfs: list[tuple[str, SignedFormula]] = []
         self.closed: tuple | None = None
         self.starved = False
-        self.hintikka_state: str | None = None
+        self.shared = False
 
     @property
     def formulas(self) -> set[SignedFormula]:
@@ -228,10 +231,12 @@ class Branch:
             self._enqueue_batch([RuleInstance(rule, sf)])
 
     def add_constraints(self, constraints: Iterable) -> None:
-        before = len(self.closure), self.closure.units
         cs = list(constraints)
         if not cs:
             return
+        if self.shared:
+            self.closure, self.shared = self.closure.clone(), False
+        before = len(self.closure), self.closure.units
         self.closure.add(*cs)
         if (len(self.closure), self.closure.units) != before:
             for rule, sf in self.cond_sfs:
@@ -289,10 +294,10 @@ class Branch:
         other.id = bid
         other.t_labels = {k: dict(v) for k, v in self.t_labels.items()}
         other.f_labels = {k: dict(v) for k, v in self.f_labels.items()}
-        other.closure = self.closure.clone()
         other.queues = tuple(deque(q) for q in self.queues)
         other.seen = set(self.seen)
         other.cond_sfs = list(self.cond_sfs)
+        self.shared = other.shared = True
         return other
 
 
@@ -333,9 +338,11 @@ class ProofOutcome:
 
 
 class Tableau:
-    """The branches of a proof search for ``phi``, rooted at ``F phi : c1``.
-    Each closure's label budget is ``config.closure_budget``, or the longest
-    base label when that is longer (see ``Closure``)."""
+    """A proof search for ``phi`` from ``F phi : c1``: a stack of the open
+    branches, the leftmost on top, and a (state, starved, budget_hit) leaf
+    per finished open branch; closed ones are logged and dropped.  Each
+    closure's label budget is ``config.closure_budget``, or the longest base
+    label when that is longer (see ``Closure``)."""
 
     def __init__(self, phi: Formula, sig: Signature, config: RunConfig = RunConfig()):
         self.sig = sig
@@ -343,39 +350,35 @@ class Tableau:
         self.phi = phi
         self.depth = 0                  # the most fresh constants beyond c1 asked for
         self.used_constants = 1         # c1 is consumed by the root
-        self.next_branch_id = 0
+        self.branch_ids = count()
         self.trace: list = []
         self.closed_log: list = []
         self.applications = 0
         closure = Closure(sorted(sig.agents), erl_star=is_star(config.logic),
                           max_card=config.closure_budget)
-        root = Branch(self._new_id(), closure)
+        root = Branch(next(self.branch_ids), closure)
         c1 = label(fresh_constant_name(1))
         # the signature's products hold in every model, so at the root too
         root.add_constraints([ResEq(c1, c1)] + [
             ResEq(label(r, s), EPSILON if t == sig.unit else label(t))
             for (r, s), t in sorted(sig.composition.items())])
         root.add_signed(SignedFormula(F, phi, c1))
-        self.branches: list[Branch] = [root]
-
-    def _new_id(self) -> int:
-        bid = self.next_branch_id
-        self.next_branch_id += 1
-        return bid
+        self.branches: list[Branch] = [root] if root.closed is None else []
+        self.leaves: list[tuple[str, bool, bool]] = []
 
     def fresh_constant(self) -> str:
         """Allocate the next label constant (never reused, never a lambda)."""
         self.used_constants += 1
         return fresh_constant_name(self.used_constants)
 
-    def _apply(self, branch_index: int, ri: RuleInstance) -> list[int]:
-        """Apply ``ri``, just popped off the branch at ``branch_index``;
-        returns the children's ids."""
-        b = self.branches[branch_index]
+    def _apply(self, ri: RuleInstance) -> list[int]:
+        """Apply ``ri``, just popped off the top branch, and put that branch's
+        open children in its place; returns the children's ids."""
+        b = self.branches.pop()
         fresh = [self.fresh_constant() for _ in range(FRESH_NEED.get(ri.rule, 0))]
         children_spec = expand(ri.rule, ri.target, ri.inst, fresh)
-        # the leftmost child continues the parent branch; siblings are clones
-        children = [b] + [b.clone(self._new_id()) for _ in children_spec[1:]]
+        # the leftmost child continues the parent branch; clones share its closure
+        children = [b] + [b.clone(next(self.branch_ids)) for _ in children_spec[1:]]
         added = {}
         entry = {
             "step": self.applications,
@@ -401,7 +404,6 @@ class Tableau:
         entry["added"] = added
         self.trace.append(entry)
         self.applications += 1
-        self.branches[branch_index:branch_index + 1] = children
         for child in children:
             if child.closed is not None:
                 rec = {"branch": child.id,
@@ -413,6 +415,7 @@ class Tableau:
                     x = child.closed[1].label
                     rec["fact_derivation"] = child.closure.derivation_chain(("r", x, EPSILON))
                 self.closed_log.append(rec)
+        self.branches.extend(c for c in reversed(children) if c.closed is None)
         return [c.id for c in children]
 
 
@@ -431,55 +434,50 @@ def prove(phi: Formula, sig: Signature, config: RunConfig = RunConfig()) -> Proo
     a prefix of it up to its first unaffordable instance, so this gives
     what iterative deepening by restarts at each depth would.
 
-    Once the scan meets an open branch with no work left that did not
-    refute, that branch stays open, so the formula cannot be proved.  From
-    then on an open branch that is starved or has hit its closure budget is
-    pruned, never expanded again.  Expanding it might still have refuted,
-    since a larger base label can clear its closure's budget flag, but
-    pruning only gives up on a branch and so keeps every verdict sound.
-    The search goes on with the other branches, for a refutation or
-    ``unknown``."""
+    The search expands the top branch of the stack, the leftmost open one.
+    Once an open branch with no work left did not refute, it stays open, so
+    the formula cannot be proved.  From then on an open branch that is
+    starved or has hit its closure budget is pruned, never expanded again.
+    Expanding it might still have refuted, since a larger base label can
+    clear its closure's budget flag, but pruning only gives up on a branch
+    and so keeps every verdict sound.  The search goes on with the other
+    branches, for a refutation or ``unknown``."""
     t = Tableau(phi, sig, config)
     t.depth = min(1, config.max_constants)
-    hopeless = False            # an open branch is out of work: no proof
-    while True:
-        target = None
-        for idx, b in enumerate(t.branches):
-            if b.closed is not None:
-                continue
-            if b.has_work():
-                if not (hopeless and (b.starved or b.closure.budget_hit)):
-                    target = idx
-                    break
-                b.hintikka_state = "pruned"
-            elif b.hintikka_state is None and (refutation := _saturated(t, b)):
-                return refutation
-            hopeless = True
-        if target is None or t.applications >= config.max_steps:
+    while t.branches:
+        b = t.branches[-1]
+        if not b.has_work():
+            state = _saturated(t, b)
+            if not isinstance(state, str):
+                return state
+        elif t.leaves and (b.starved or b.closure.budget_hit):
+            state = "pruned"
+        elif t.applications >= config.max_steps:
             break
-        b = t.branches[target]
-        ri = b.pop()
-        need = t.used_constants - 1 + FRESH_NEED.get(ri.rule, 0)
-        t.depth = max(t.depth, min(need, config.max_constants))
-        if need > config.max_constants:
-            b.starved = True
+        else:
+            ri = b.pop()
+            need = t.used_constants - 1 + FRESH_NEED.get(ri.rule, 0)
+            t.depth = max(t.depth, min(need, config.max_constants))
+            if need > config.max_constants:
+                b.starved = True
+            else:
+                t._apply(ri)
             continue
-        t._apply(target, ri)
-    return _aggregate(t, steps_exhausted=target is not None)
+        t.branches.pop()
+        t.leaves.append((state, b.starved, b.closure.budget_hit))
+    return _aggregate(t)
 
 
-def _saturated(t: Tableau, b: Branch) -> ProofOutcome | None:
-    """Handle a branch with no pending work: mark it, or extract the model
-    it induces and refute with it when the model validates and falsifies
-    the root ``F phi : c1``.  That is all a refutation needs to be sound;
-    the Hintikka lemma, that the model forces the whole branch, is a
-    theorem about the construction and is tested, not checked here."""
+def _saturated(t: Tableau, b: Branch) -> ProofOutcome | str:
+    """Extract the model of a branch with no pending work and refute with it
+    when it validates and falsifies the root ``F phi : c1``; otherwise return
+    the branch's state.  That is all a refutation needs to be sound; the
+    Hintikka lemma, that the model forces the whole branch, is a theorem
+    about the construction and is tested, not checked here."""
     if b.starved:
-        b.hintikka_state = "starved"
-        return None
+        return "starved"
     if b.closure.budget_hit:
-        b.hintikka_state = "closure-budget"
-        return None
+        return "closure-budget"
     from . import hintikka      # not at module level: hintikka imports this module
     formulas = b.formulas
     c1 = label(fresh_constant_name(1))
@@ -488,8 +486,7 @@ def _saturated(t: Tableau, b: Branch) -> ProofOutcome | None:
     failure = hintikka.verify_extraction(model, [SignedFormula(F, t.phi, c1)],
                                          index, logic=t.logic)
     if failure is not None:
-        b.hintikka_state = f"extraction-failed: {failure}"
-        return None
+        return f"extraction-failed: {failure}"
     branch = {"formulas": sorted(sf.text(t.sig.unit) for sf in formulas),
               "constraints": [str(c) for c in b.closure.base], "closed": None}
     return _outcome(t, "refuted", countermodel=model, world=world, branch=branch,
@@ -501,17 +498,18 @@ def _outcome(t: Tableau, verdict: str, **fields) -> ProofOutcome:
                         trace=t.trace, closed_branches=t.closed_log, **fields)
 
 
-def _aggregate(t: Tableau, steps_exhausted: bool) -> ProofOutcome:
-    open_states = [b.hintikka_state or "open" for b in t.branches if b.closed is None]
-    if not open_states and not steps_exhausted:
+def _aggregate(t: Tableau) -> ProofOutcome:
+    leaves = t.leaves + [("open", b.starved, b.closure.budget_hit)
+                         for b in t.branches]
+    if not leaves:
         return _outcome(t, "proved")
+    states, starved, budget_hit = zip(*leaves)
     diagnostics = {
-        "open_branches": len(open_states),
-        "branch_states": sorted(set(open_states)),
-        "starved": any(b.starved for b in t.branches if b.closed is None),
-        "closure_budget_hit": any(b.closure.budget_hit for b in t.branches
-                                  if b.closed is None),
+        "open_branches": len(leaves),
+        "branch_states": sorted(set(states)),
+        "starved": any(starved),
+        "closure_budget_hit": any(budget_hit),
     }
-    if steps_exhausted:
+    if t.branches:
         diagnostics["steps_exhausted"] = True
     return _outcome(t, "unknown", diagnostics=diagnostics)

@@ -415,38 +415,39 @@ def restart_prove(phi, sig, config):
     for depth in depths:
         outcome = _attempt(phi, sig, config, depth,
                            abort_on_starve=depth != depths[-1])
-        if (outcome.verdict != "unknown" or not outcome.diagnostics["starved"]
+        if outcome is not None and (
+                outcome.verdict != "unknown" or not outcome.diagnostics["starved"]
                 or outcome.diagnostics.get("steps_exhausted")):
             break
     return outcome
 
 
 def _attempt(phi, sig, config, depth, abort_on_starve):
+    """One attempt at ``depth``; None when it aborts at the first instance
+    it cannot afford."""
     t = Tableau(phi, sig, config)
     t.depth = depth
-    hopeless = False
-    while True:
-        target = None
-        for idx, b in enumerate(t.branches):
-            if b.closed is not None:
-                continue
-            if b.has_work():
-                # once no proof is possible, starved and budget-hit branches
-                # are pruned, as in prove
-                if not (hopeless and (b.starved or b.closure.budget_hit)):
-                    target = idx
-                    break
-                b.hintikka_state = "pruned"
-            elif b.hintikka_state is None and (refutation := _saturated(t, b)):
-                return refutation
-            hopeless = True
-        if target is None or t.applications >= config.max_steps:
-            return _aggregate(t, steps_exhausted=target is not None)
-        b = t.branches[target]
-        ri = b.pop()
-        if t.used_constants - 1 + FRESH_NEED.get(ri.rule, 0) > depth:
-            b.starved = True
-            if abort_on_starve:
-                return _aggregate(t, steps_exhausted=False)
+    while t.branches:
+        b = t.branches[-1]
+        if not b.has_work():
+            state = _saturated(t, b)
+            if not isinstance(state, str):
+                return state
+        elif t.leaves and (b.starved or b.closure.budget_hit):
+            # once no proof is possible, starved and budget-hit branches
+            # are pruned, as in prove
+            state = "pruned"
+        elif t.applications >= config.max_steps:
+            break
+        else:
+            ri = b.pop()
+            if t.used_constants - 1 + FRESH_NEED.get(ri.rule, 0) > depth:
+                b.starved = True
+                if abort_on_starve:
+                    return None
+            else:
+                t._apply(ri)
             continue
-        t._apply(target, ri)
+        t.branches.pop()
+        t.leaves.append((state, b.starved, b.closure.budget_hit))
+    return _aggregate(t)

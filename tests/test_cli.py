@@ -121,6 +121,14 @@ def test_search_verdicts(sig_file, tmp_path, capsys):
                   "[D a; r] [D a; s] p -> [D a; s] p", "--at", found["world"],
                   "--logic", "erl-star")
     assert code == 1
+    # five resources at bound 5 leave no fresh world: one composition
+    # table, searched at once, not refused by an estimate that counted
+    # every cell as free
+    path = tmp_path / "sig5.json"
+    path.write_text(json.dumps({**SIG, "resources": ["e", "r", "s", "t", "u"]}))
+    code, _ = run(capsys, "search", "--sig", str(path), "p -> [C a; r] p",
+                  "--carrier-bound", "5", "--countermodel-out", out_file)
+    assert code == 1
 
 
 def test_carrier_bound_below_resources_exit(sig_file, tmp_path, capsys):

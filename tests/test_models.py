@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from itertools import islice, zip_longest
 
 import pytest
@@ -171,6 +172,20 @@ def test_enumerate_budget_guard(monkeypatch):
     for bound in (12, 13, 40):
         with pytest.raises(BudgetTooLarge):
             next(enumerate_models(sig, bound - len(sig.resources), ["p"], "erl"))
+
+
+@pytest.mark.parametrize("resources, rows, max_extra", [
+    (["e"], [], 3), (["e", "r", "s"], [], 1),
+    (["e", "r", "s"], [("r", "r", "s")], 1), (["e", "r", "s", "t", "u"], [], 0)])
+def test_estimate_multiplies_the_cells_options(resources, rows, max_extra):
+    # the estimate is the product of the option counts of the enumerated
+    # cells, times the agent partitions, and bounds the models yielded
+    sig = Signature.make(["a"], resources, composition=rows)
+    want = sum(math.prod(len(o) for o in models._cells(sig, extra)[3])
+               * models._bell(len(sig.resources) + extra)
+               for extra in range(max_extra + 1))
+    assert estimate_stream(sig, max_extra, []) == want
+    assert sum(1 for _ in enumerate_models(sig, max_extra, [], "erl")) <= want
 
 
 def test_sampling_fallback_validates():

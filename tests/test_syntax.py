@@ -128,18 +128,22 @@ def test_validate_four_element_table():
 
 
 def test_validate_associativity_violation():
-    # r.(s.t) = r.u defined while r.s is undefined
-    sig = Signature.make([], ["e", "r", "s", "t", "u"],
-                         composition=[("s", "t", "u"), ("r", "u", "t")])
+    # r.(s.t) = r.u defined while r.s is undefined; make would refuse these
+    # tables, so they are built directly
+    sig = Signature(frozenset(), frozenset({"e", "r", "s", "t", "u"}), "e",
+                    {("s", "t"): "u", ("r", "u"): "t"})
     axioms = [v.axiom for v in validate_signature(sig)]
     assert "Associativity" in axioms
     assert not check_signature_axioms(sorted(sig.resources), "e",
                                       {("s", "t"): "u", ("r", "u"): "t"})
     # the witness names resources, not positions in the table
-    sig = Signature.make([], ["e", "r", "s", "t"], "e",
-                         [("r", "s", "t"), ("t", "r", "s")])
+    sig = Signature(frozenset(), frozenset({"e", "r", "s", "t"}), "e",
+                    {("r", "s"): "t", ("r", "t"): "s"})
     assert [(v.axiom, v.witness) for v in validate_signature(sig)] == \
         [("Associativity", ("r", "r", "s"))]
+    with pytest.raises(SignatureError, match="Associativity"):
+        Signature.make([], ["e", "r", "s", "t"], "e",
+                       [("r", "s", "t"), ("t", "r", "s")])
     # a square with an undefined cross product is a legitimate partial monoid
     square = Signature.make([], ["e", "r", "s"], composition=[("r", "r", "s")])
     assert validate_signature(square) == []
@@ -158,8 +162,13 @@ def test_make_rejects_inconsistent_rows():
 
 
 def test_reserved_resource_names():
-    sig = Signature.make([], ["e", "c1"])
+    sig = Signature(frozenset(), frozenset({"e", "c1"}), "e", {})
     assert any(v.axiom == "ReservedName" for v in validate_signature(sig))
+    # c1, c2 would be the tableau's fresh constants too: over this
+    # signature prove said proved for [E a; e] I -> <C a; c1> I, which has
+    # a countermodel
+    with pytest.raises(SignatureError, match="ReservedName"):
+        Signature.make(["a"], ["e", "c1", "c2"])
 
 
 def test_signature_json_roundtrip(sig_st):

@@ -11,7 +11,7 @@ import erl
 from erl import (And, Atom, Not, RunConfig, Signature, Star,
                  parse_formula, prove, find_countermodel, satisfies,
                  validate_model)
-from erl.labels import AgentEq, ResEq, label, lmul
+from erl.labels import AgentEq, Closure, ResEq, label, lmul
 from erl.tableaux import Branch, SignedFormula, Tableau
 
 
@@ -24,11 +24,11 @@ def queued(b):
     return [ri for q in b.queues for ri in q]
 
 
-def step(t, index=0):
-    """Pop the next instance of branch ``index`` and apply it, as ``prove``
+def step(t):
+    """Pop the next instance of the top branch and apply it, as ``prove``
     does; returns the instance and the children's ids."""
-    ri = t.branches[index].pop()
-    return ri, t._apply(index, ri)
+    ri = t.branches[-1].pop()
+    return ri, t._apply(ri)
 
 
 def test_init_tableau(sig_a):
@@ -40,16 +40,19 @@ def test_init_tableau(sig_a):
 
 
 def test_init_f_top_closes_by_expansion(sig_a):
+    # F top : c1 closes the root as it is added, so the stack starts empty
     from erl.syntax import Top
-    t = Tableau(Top(), sig_a)
-    witness = t.branches[0].closed
-    assert witness is not None and witness[0] == "F_top"
+    assert Tableau(Top(), sig_a).branches == []
+    b = Branch(0, Closure(["a"]))
+    b.add_constraints([ResEq(label("c1"), label("c1"))])
+    b.add_signed(SignedFormula("F", Top(), label("c1")))
+    assert b.closed is not None and b.closed[0] == "F_top"
 
 
 def test_f_unit_closes_via_constraint(sig_a):
     from erl.syntax import Unit
     t = Tableau(Unit(), sig_a)
-    b = t.branches[0]
+    b = t.branches[-1]
     assert b.closed is None
     b.add_constraints([ResEq(label("c1"), ())])
     witness = b.closed
@@ -58,12 +61,12 @@ def test_f_unit_closes_via_constraint(sig_a):
 
 def test_applicable_rules_t_star(sig_a):
     t = Tableau(Not(Star(Atom("p"), Atom("q"))), sig_a)
-    [ri] = queued(t.branches[0])
+    [ri] = queued(t.branches[-1])
     assert step(t)[0] == ri             # F_not
-    [ri] = queued(t.branches[0])
+    [ri] = queued(t.branches[-1])
     assert ri.rule == "T_star"
     assert step(t)[0] == ri
-    b = t.branches[0]
+    b = t.branches[-1]
     assert SignedFormula("T", Atom("p"), label("c2")) in b.formulas
     assert SignedFormula("T", Atom("q"), label("c3")) in b.formulas
     assert b.closure.has_res(label("c1"), label("c2", "c3"))
@@ -73,15 +76,15 @@ def test_applicable_rules_condition_instance(sig_a):
     phi = parse_formula("[C a; s] p", sig_a)
     t = Tableau(Not(phi), sig_a)
     step(t)                             # F_not gives T [C a; s] p : c1
-    assert queued(t.branches[0]) == []  # no partner in the closure yet
-    b = t.branches[0]
+    assert queued(t.branches[-1]) == []  # no partner in the closure yet
+    b = t.branches[-1]
     c1s = lmul(label("c1"), label("s"))
     b.add_constraints([AgentEq("a", c1s, label("c2"))])
     rules = {(ri.rule, ri.inst) for ri in queued(b)}
     assert ("T_C", (label("c2"),)) in rules
     ri, _ = step(t)
     assert ri.inst == (label("c2"),)
-    assert SignedFormula("T", Atom("p"), label("c2")) in t.branches[0].formulas
+    assert SignedFormula("T", Atom("p"), label("c2")) in t.branches[-1].formulas
 
 
 def test_branching_rule_shapes(sig_a):
@@ -89,36 +92,54 @@ def test_branching_rule_shapes(sig_a):
     t = Tableau(Not(phi), sig_a)
     step(t)                             # F_not
     step(t)                             # T_not -> F (p & q) : c1
-    [ri] = queued(t.branches[0])
+    [ri] = queued(t.branches[-1])
     assert ri.rule == "F_and"
     got, children = step(t)
     assert got == ri
-    assert len(children) == 2 and len(t.branches) == 2
-    assert SignedFormula("F", Atom("p"), label("c1")) in t.branches[0].formulas
-    assert SignedFormula("F", Atom("q"), label("c1")) in t.branches[1].formulas
+    # the leftmost child is on top of the stack
+    assert len(children) == 2 and [b.id for b in t.branches] == children[::-1]
+    left, right = t.branches[::-1]
+    assert SignedFormula("F", Atom("p"), label("c1")) in left.formulas
+    assert SignedFormula("F", Atom("q"), label("c1")) in right.formulas
+    # the children share one closure until one of them adds a constraint
+    assert left.closure is right.closure
+    facts = left.closure.facts()
+    right.add_constraints([ResEq(label("c1"), ())])
+    assert right.closure is not left.closure
+    assert right.closure.has_res(label("c1"), ())
+    assert left.closure.facts() == facts
+
+
+def test_closed_child_leaves_the_stack(sig_a):
+    t = Tableau(parse_formula("(p | q) -> p", sig_a), sig_a)
+    step(t)                             # F_imp
+    ri, (left, right) = step(t)
+    assert ri.rule == "T_or"
+    assert [b.id for b in t.branches] == [right]
+    assert [rec["branch"] for rec in t.closed_log] == [left]
 
 
 def test_apply_f_imp_and_t_i(sig_a):
     phi = parse_formula("I -> p", sig_a)
     t = Tableau(phi, sig_a)
-    [ri] = queued(t.branches[0])
+    [ri] = queued(t.branches[-1])
     assert ri.rule == "F_imp"
     assert step(t)[0] == ri
-    b = t.branches[0]
+    b = t.branches[-1]
     assert SignedFormula("T", parse_formula("I", sig_a), label("c1")) in b.formulas
     [ri] = queued(b)
     assert ri.rule == "T_I"
     assert step(t)[0] == ri
-    assert t.branches[0].closure.has_res(label("c1"), ())
+    assert t.branches[-1].closure.has_res(label("c1"), ())
 
 
 def test_apply_f_dd(sig_a):
     phi = parse_formula("[D a; s] p", sig_a)
     t = Tableau(phi, sig_a)
-    [ri] = queued(t.branches[0])
+    [ri] = queued(t.branches[-1])
     assert ri.rule == "F_Dd"
     assert step(t)[0] == ri
-    b = t.branches[0]
+    b = t.branches[-1]
     c2s = lmul(label("c2"), label("s"))
     assert SignedFormula("F", Atom("p"), c2s) in b.formulas
     assert b.closure.has_agent("a", label("c1"), c2s)
@@ -127,18 +148,19 @@ def test_apply_f_dd(sig_a):
 def test_monotone_growth(sig_a):
     phi = parse_formula("(p | q) & !p -> q", sig_a)
     t = Tableau(phi, sig_a)
-    while True:
-        open_idx = [i for i, b in enumerate(t.branches) if b.closed is None
-                    and b.has_work()]
-        if not open_idx:
-            break
-        i = open_idx[0]
-        before_f = set(t.branches[i].formulas)
-        before_c = list(t.branches[i].closure.base)
-        ri = t.branches[i].pop()
-        ids = t._apply(i, ri)
-        for bid in ids:
-            child = next(b for b in t.branches if b.id == bid)
+    while t.branches:
+        b = t.branches[-1]
+        if not b.has_work():
+            t.branches.pop()
+            continue
+        before_f = set(b.formulas)
+        before_c = list(b.closure.base)
+        ids = t._apply(b.pop())
+        # each child is open, on the stack, or closed and logged
+        children = [c for c in t.branches if c.id in ids]
+        closed = [rec["branch"] for rec in t.closed_log if rec["branch"] in ids]
+        assert sorted([c.id for c in children] + closed) == sorted(ids)
+        for child in children:
             assert before_f <= child.formulas
             assert before_c == child.closure.base[:len(before_c)]
 

@@ -20,8 +20,12 @@ def test_every_traced_span_sees_calls(monkeypatch):
         tracer.begin_op(0)
         refutable = syntax.parse_formula("[C a; s] p -> [C a; s] [C a; r] p", sig)
         provable = syntax.parse_formula("(p -* q) * p -> q", sig)
+        # after T_imp splits, its left child adds c1 ~ c2.c3 by T_star, so
+        # it copies the closure it shares with its sibling
+        copies = syntax.parse_formula("(p -> q) -> (p * I -> q)", sig)
         assert tableaux.prove(refutable, sig, RunConfig()).refuted
         assert tableaux.prove(provable, sig, RunConfig()).proved
+        assert tableaux.prove(copies, sig, RunConfig()).proved
         assert checker.find_countermodel(refutable, sig, 3, "erl") is not None
         for m in islice(models.enumerate_models(sig, 0, ["p"]), 5):
             checker.truth_set(m, refutable, {})
