@@ -208,13 +208,13 @@ class Closure:
     form are derived on demand from c ~ eps the same way.
 
     Queries are sound for any budget; they are complete for every derivation
-    whose intermediate labels stay within the cardinality budget.  When an
-    instance is suppressed, ``budget_hit`` is set, and the prover treats
-    the branch as undecided rather than trusting saturation.  The flag is
-    for the store as it stands: a raised budget or a new saturation from
-    ``base`` clears it, and each instance still over budget sets it again.
-    The budget, ``effective_card``, is ``max_card`` or the longest base
-    label, whichever is larger.
+    whose intermediate labels stay within the cardinality budget
+    ``max_card``, fixed for the closure's life.  When an instance is
+    suppressed, ``budget_hit`` is set, and the prover treats the branch as
+    undecided rather than trusting saturation.  The flag is for the store
+    as it stands: a new saturation from ``base``, when a constant joins the
+    unit class, clears it, and each instance still over budget sets it
+    again.
     """
 
     def __init__(self, agents: Iterable[str], erl_star: bool = False,
@@ -226,7 +226,7 @@ class Closure:
         self.units = frozenset()                # constants c with c ~ eps
         self._steps: dict = {}                  # kept steps: fact -> (rule, premises)
         self._found: list = []                  # constants a union just put in eps's class
-        self.effective_card = max_card          # label budget
+        self.max_card = max_card                # label budget
         self._reset()
 
     def _reset(self) -> None:
@@ -252,25 +252,12 @@ class Closure:
 
     def add(self, *constraints) -> None:
         """Add base constraints and resume saturation."""
-        old = self.effective_card
         facts = [fact_of(c) for c in constraints]
-        for fact in facts:
-            self.effective_card = max(self.effective_card, *map(len, fact_labels(fact)))
         self.base.extend(constraints)
         self._base_facts.update(facts)
         for fact in facts:
             if not self._found:
                 self._insert(fact)
-        if self.effective_card > old and not self._found:
-            # A larger base label raised the budget: instances suppressed
-            # under the old budget may fit now.  They are queued in class
-            # order, which fixes the union order; those still over budget
-            # flag it again.
-            self.budget_hit = False
-            for u, members in self._members.items():
-                for r, m in members.items():
-                    for k, w in self._ext[u].get(r, {}).items():
-                        self._due(u, m, k, w)
         self._saturate()
 
     def _insert(self, fact: tuple) -> None:
@@ -568,7 +555,7 @@ class Closure:
 
     def _due(self, u: str | None, xs, k: Label, w: Label) -> None:
         """Queue x.k ~[u] w for x in xs; drop unbuilt and flag those over budget."""
-        room = self.effective_card - len(k)
+        room = self.max_card - len(k)
         for x in xs:
             if len(x) > room:
                 self.budget_hit = True

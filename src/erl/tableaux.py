@@ -188,8 +188,7 @@ def condition_fact(sf: SignedFormula, inst: tuple):
 
 class Branch:
     """One CSS: signed formulas, the closure of its constraints, scheduler
-    state.  A clone shares its parent's closure, both marked ``shared``;
-    ``add_constraints``, the only writer of a closure, copies a shared one."""
+    state.  A clone shares its parent's closure (see ``Tableau``)."""
 
     def __init__(self, bid: int, closure: Closure):
         self.id = bid
@@ -203,7 +202,6 @@ class Branch:
         self.cond_sfs: list[tuple[str, SignedFormula]] = []
         self.closed: tuple | None = None
         self.starved = False
-        self.shared = False
 
     @property
     def formulas(self) -> set[SignedFormula]:
@@ -234,8 +232,6 @@ class Branch:
         cs = list(constraints)
         if not cs:
             return
-        if self.shared:
-            self.closure, self.shared = self.closure.clone(), False
         before = len(self.closure), self.closure.units
         self.closure.add(*cs)
         if (len(self.closure), self.closure.units) != before:
@@ -297,7 +293,6 @@ class Branch:
         other.queues = tuple(deque(q) for q in self.queues)
         other.seen = set(self.seen)
         other.cond_sfs = list(self.cond_sfs)
-        self.shared = other.shared = True
         return other
 
 
@@ -341,8 +336,10 @@ class Tableau:
     """A proof search for ``phi`` from ``F phi : c1``: a stack of the open
     branches, the leftmost on top, and a (state, starved, budget_hit) leaf
     per finished open branch; closed ones are logged and dropped.  Each
-    closure's label budget is ``config.closure_budget``, or the longest base
-    label when that is longer (see ``Closure``)."""
+    closure's label budget is ``config.closure_budget`` (see ``Closure``).
+    Siblings share one closure, and a branch's closure is copied before a
+    step adds constraints to it exactly when another open branch on the
+    stack holds it."""
 
     def __init__(self, phi: Formula, sig: Signature, config: RunConfig = RunConfig()):
         self.sig = sig
@@ -377,6 +374,10 @@ class Tableau:
         b = self.branches.pop()
         fresh = [self.fresh_constant() for _ in range(FRESH_NEED.get(ri.rule, 0))]
         children_spec = expand(ri.rule, ri.target, ri.inst, fresh)
+        # only single-child rules add constraints: copy the closure when an
+        # open branch still holds it
+        if children_spec[0][1] and any(o.closure is b.closure for o in self.branches):
+            b.closure = b.closure.clone()
         # the leftmost child continues the parent branch; clones share its closure
         children = [b] + [b.clone(next(self.branch_ids)) for _ in children_spec[1:]]
         added = {}
@@ -438,9 +439,9 @@ def prove(phi: Formula, sig: Signature, config: RunConfig = RunConfig()) -> Proo
     Once an open branch with no work left did not refute, it stays open, so
     the formula cannot be proved.  From then on an open branch that is
     starved or has hit its closure budget is pruned, never expanded again.
-    Expanding it might still have refuted, since a larger base label can
-    clear its closure's budget flag, but pruning only gives up on a branch
-    and so keeps every verdict sound.  The search goes on with the other
+    Expanding it might still have refuted, since a constant joining the
+    unit class can clear its closure's budget flag, but pruning only gives
+    up on a branch and so keeps every verdict sound.  The search goes on with the other
     branches, for a refutation or ``unknown``."""
     t = Tableau(phi, sig, config)
     t.depth = min(1, config.max_constants)

@@ -20,9 +20,10 @@ from functools import cache
 from itertools import product
 
 from erl import models
+from erl.errors import SignatureError
 from erl.labels import AgentEq, Closure, ResEq
 from erl.syntax import (C, CDUAL, D, DDUAL, E, EDUAL, And, Implies, Modal, Not,
-                        Or, Star, Wand)
+                        Or, Signature, Star, Term, Wand)
 from erl.tableaux import FRESH_NEED, Tableau, _aggregate, _saturated
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,47 @@ def expand_duals(phi):
     if isinstance(phi, (And, Or, Implies, Star, Wand)):
         return type(phi)(expand_duals(phi.left), expand_duals(phi.right))
     return phi
+
+
+def rename(phi, names: dict):
+    """``phi`` with each agent and resource name n of its modalities
+    replaced by ``names[n]``; no other change."""
+    if isinstance(phi, Modal):
+        return Modal(phi.op, names[phi.agent],
+                     Term(tuple(names[r] for r in phi.term.parts)),
+                     rename(phi.body, names))
+    if isinstance(phi, Not):
+        return Not(rename(phi.body, names))
+    if isinstance(phi, (And, Or, Implies, Star, Wand)):
+        return type(phi)(rename(phi.left, names), rename(phi.right, names))
+    return phi
+
+
+# ---------------------------------------------------------------------------
+# Signatures
+
+# names on both sides of "c" in sort order, agents apart from resources
+AGENT_NAMES = ("a", "b", "g", "u", "z")
+RESOURCE_NAMES = ("d", "e", "f", "m", "r", "s", "x")
+
+
+def random_signature(rng) -> Signature:
+    """A valid signature of 1-2 agents and 3-4 resources, one of them the
+    unit, and 0-3 composition rows of non-unit resources, each kept only
+    when ``Signature.make`` accepts it."""
+    agents = rng.sample(AGENT_NAMES, rng.randint(1, 2))
+    resources = rng.sample(RESOURCE_NAMES, rng.randint(3, 4))
+    unit = rng.choice(resources)
+    others = sorted(set(resources) - {unit})
+    rows = []
+    for _ in range(rng.randint(0, 3)):
+        row = (rng.choice(others), rng.choice(others), rng.choice(resources))
+        try:
+            Signature.make(agents, resources, unit, rows + [row])
+        except SignatureError:
+            continue
+        rows.append(row)
+    return Signature.make(agents, resources, unit, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +373,7 @@ def corollary_check(cl: Closure) -> list[tuple]:
             for part in sublabels(side):
                 if part not in dom:
                     bad.append(("domain", fact, part))
-    cap = cl.effective_card
+    cap = cl.max_card
     class_of, classes = cl.classes()
     # juxtaposition congruence, checked once per pair of classes whose
     # members compose into the domain

@@ -156,7 +156,7 @@ def test_erl_star_rule():
 def test_compatibility_property_on_store():
     cl = close([AgentEq("u", C1, C2), ResEq(lmul(C2, C3), lmul(C2, C3))],
                erl_star=True)
-    cap = cl.effective_card
+    cap = cl.max_card
     for (u, x, y) in agent_facts(cl):
         for w in cl.domain():
             k = lsub(w, y)
@@ -171,18 +171,16 @@ def test_incremental_matches_batch():
     assert set(batch.facts()) == set(inc.facts())
 
 
-def test_budget_raise_matches_batch():
-    # the second constraint's 5-constant label raises the budget from 4 to
-    # 5, so instances suppressed under the first add fire in the second
-    first, second = ResEq(C1, lmul(C1, LS)), ResEq(C2, lmul(C2, C3, C4, LR, LS))
-    inc = close([first], max_card=4)
-    assert inc.effective_card == 4 and inc.budget_hit
-    inc.add(second)
-    batch = close([first, second], max_card=4)
-    assert inc.effective_card == batch.effective_card == 5
-    assert set(inc.facts()) == set(batch.facts())
-    assert inc.has_res(lmul(C1, LS, LS, LS, LS), C1)
-    assert inc.budget_hit and batch.budget_hit
+def test_long_base_label_keeps_the_budget():
+    # a base label longer than max_card enters the store, but the budget
+    # stays: the c_r instances it brings due are over it and flag it
+    long = lmul(C2, C3, C4, LR, LS)
+    cl = close([ResEq(C1, C1)], max_card=4)
+    assert not cl.budget_hit
+    cl.add(ResEq(C2, long))
+    assert cl.max_card == 4 and cl.budget_hit
+    assert cl.has_res(C2, long) and cl.in_domain(long)
+    assert not cl.in_domain(lmul(C2, C3, long))
 
 
 def test_derivations_replay_and_serialize():
@@ -218,9 +216,9 @@ def test_closure_matches_naive_oracle(seed, star):
     cs, agents = _random_constraints(random.Random(seed))
     cl = Closure.close(cs, agents, erl_star=star, max_card=3)
     normal = [_normal(cl, c) for c in cs]
-    naive = naive_closure(normal, agents, erl_star=star, max_card=cl.effective_card)
+    naive = naive_closure(normal, agents, erl_star=star, max_card=cl.max_card)
     assert set(cl.facts()) == naive
-    raw = naive_closure(cs, agents, erl_star=star, max_card=cl.effective_card)
+    raw = naive_closure(cs, agents, erl_star=star, max_card=cl.max_card)
     for fact in raw - naive:        # outside normal form: derived on demand
         _replays(cl, fact)
     # each unit constant is derived from the base, so the normal form is sound
@@ -238,7 +236,7 @@ def test_budget_hit_matches_naive_oracle(seed, star):
     cl = Closure.close(cs, agents, erl_star=star, max_card=3)
     normal = [_normal(cl, c) for c in cs]
     _, dropped = naive_saturation(normal, agents, erl_star=star,
-                                  max_card=cl.effective_card)
+                                  max_card=cl.max_card)
     assert cl.budget_hit == dropped
 
 

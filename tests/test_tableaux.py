@@ -88,26 +88,39 @@ def test_applicable_rules_condition_instance(sig_a):
 
 
 def test_branching_rule_shapes(sig_a):
-    phi = Not(And(Atom("p"), Atom("q")))
-    t = Tableau(Not(phi), sig_a)
-    step(t)                             # F_not
-    step(t)                             # T_not -> F (p & q) : c1
+    t = Tableau(parse_formula("(I | q) -> p", sig_a), sig_a)
+    step(t)                             # F_imp
     [ri] = queued(t.branches[-1])
-    assert ri.rule == "F_and"
+    assert ri.rule == "T_or"
     got, children = step(t)
     assert got == ri
     # the leftmost child is on top of the stack
     assert len(children) == 2 and [b.id for b in t.branches] == children[::-1]
     left, right = t.branches[::-1]
-    assert SignedFormula("F", Atom("p"), label("c1")) in left.formulas
-    assert SignedFormula("F", Atom("q"), label("c1")) in right.formulas
-    # the children share one closure until one of them adds a constraint
+    assert SignedFormula("T", parse_formula("I", sig_a), label("c1")) in left.formulas
+    assert SignedFormula("T", Atom("q"), label("c1")) in right.formulas
+    # the children share one closure until one of them adds a constraint:
+    # the left child's T_I adds c1 ~ e while the right child is pending,
+    # so the left child writes to a copy
     assert left.closure is right.closure
-    facts = left.closure.facts()
-    right.add_constraints([ResEq(label("c1"), ())])
-    assert right.closure is not left.closure
-    assert right.closure.has_res(label("c1"), ())
-    assert left.closure.facts() == facts
+    facts = right.closure.facts()
+    ri, _ = step(t)
+    assert ri.rule == "T_I" and t.branches[-1] is left
+    assert left.closure is not right.closure
+    assert left.closure.has_res(label("c1"), ())
+    assert right.closure.facts() == facts
+
+
+def test_only_holder_writes_in_place(sig_a, monkeypatch):
+    # T_imp's right child T q : c1 closes at once against F q : c1, so the
+    # left child alone holds the closure when T_star adds c1 ~ c2.c3
+    copies = []
+    clone = Closure.clone
+    monkeypatch.setattr(Closure, "clone", lambda cl: copies.append(cl) or clone(cl))
+    out = prove(parse_formula("(p -> q) -> (p * I -> q)", sig_a), sig_a, cfg())
+    assert out.proved
+    assert [e["rule"] for e in out.trace][:4] == ["F_imp", "F_imp", "T_imp", "T_star"]
+    assert copies == []
 
 
 def test_closed_child_leaves_the_stack(sig_a):
