@@ -20,18 +20,18 @@ be meaningful.  The witness reported for conditions 1-4 is the first one
 ``closing.branch_witness`` meets in the maps ``_membership`` builds:
 formulas by their text, labels by ``label_key``.
 
-``extract_model`` builds the model without checking its branch.  ``prove``
-calls it on each saturated branch and refutes when the model validates and
-falsifies the root (``verify_extraction`` of the root alone), which is what
-makes a refutation sound.  That the model forces every formula of a
-Hintikka branch is the paper's lemma, tested in Tier-1 with ``is_hintikka``
-and the full ``verify_extraction``.
+``extract_model`` builds the model without checking its branch; only its
+valuation is the branch's, and the frame, its index and its verdicts are
+kept with the closure (``_framed_index``).  ``prove`` calls it on each
+saturated branch and refutes when the model validates and falsifies the
+root (``verify_extraction`` of the root alone), which makes it sound.  The
+paper's lemma, that the model forces every formula of a Hintikka branch,
+is tested in Tier-1 with ``is_hintikka`` and the full ``verify_extraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .checker import satisfies
 from .closing import branch_witness, describe_closure_witness
@@ -121,8 +121,13 @@ def _unmet_instances(rule, sf, on_branch, closure):
 class EquivalenceIndex:
     carrier: tuple                     # world names
     position: dict                     # normal-form domain label -> carrier index
-    nf: Callable                       # the closure's label normal form
+    units: frozenset                   # the closure's unit constants
     warnings: list = field(default_factory=list)
+    frame: Frame | None = None         # the frame ``extract_model`` built on it
+    verdicts: dict = field(default_factory=dict)  # logic -> validate_model of frame
+
+    def nf(self, x):                   # the closure's, without holding it
+        return tuple(c for c in x if c not in self.units) if self.units else x
 
     def world_of(self, x) -> str:
         return self.carrier[self.position[self.nf(x)]]
@@ -155,7 +160,7 @@ def build_index(closure: Closure, sig: Signature) -> EquivalenceIndex:
                     f"images {names}; picking {names[0]}")
             world = carrier.index(names[0])
         position.update(dict.fromkeys(members, world))
-    return EquivalenceIndex(tuple(carrier), position, closure.nf, warnings)
+    return EquivalenceIndex(tuple(carrier), position, closure.units, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +175,25 @@ def extract_model(formulas, closure: Closure, sig: Signature,
     on a Hintikka branch the model forces every formula of it, and on any
     other the caller must check what it relies on (``verify_extraction``).
     A closure whose products do not give a composition raises ModelError."""
+    index = _framed_index(closure, sig)
+    position, nf = index.position, index.nf
+    valuation: dict = {}
+    for sf in formulas:
+        if sf.sign == "T" and isinstance(sf.formula, Atom):
+            name = sf.formula.name
+            valuation[name] = valuation.get(name, 0) | 1 << position[nf(sf.label)]
+    world = (index.world_of(designated)
+             if designated is not None and nf(designated) in position else None)
+    return Model(index.frame, valuation), world, index
+
+
+def _framed_index(closure: Closure, sig: Signature) -> EquivalenceIndex:
+    """The closure's index with the frame it induces, kept as
+    ``closure.extraction`` with the base length and signature it was built
+    for: a copy keeps it until a write lengthens the base."""
+    key = (len(closure.base), sig)
+    if closure.extraction[0] == key:
+        return closure.extraction[1]
     index = build_index(closure, sig)
     carrier, position = index.carrier, index.position
     n = len(carrier)
@@ -187,18 +211,9 @@ def extract_model(formulas, closure: Closure, sig: Signature,
                  for u in sorted(sig.agents)}
     equiv_pairs = {u: [(i, j) for i in range(n) for j in range(i + 1, n)
                        if masks[i] >> j & 1] for u, masks in classmask.items()}
-
-    valuation: dict = {}
-    for sf in formulas:
-        if sf.sign == "T" and isinstance(sf.formula, Atom):
-            name = sf.formula.name
-            valuation[name] = valuation.get(name, 0) | 1 << position[closure.nf(sf.label)]
-
-    model = Model(Frame(sig, carrier, comp, classmask, equiv_pairs), valuation)
-    world = None
-    if designated is not None and closure.nf(designated) in position:
-        world = index.world_of(designated)
-    return model, world, index
+    index.frame = Frame(sig, carrier, comp, classmask, equiv_pairs)
+    closure.extraction = (key, index)
+    return index
 
 
 def verify_extraction(model: Model, formulas, index: EquivalenceIndex,
@@ -206,7 +221,9 @@ def verify_extraction(model: Model, formulas, index: EquivalenceIndex,
     """None when the extraction is coherent: the model validates and every
     signed formula of the branch is forced the right way at its world, read
     off ``index``, the branch closure's index from ``extract_model``."""
-    violations = validate_model(model, logic)
+    verdicts = index.verdicts if model.frame is index.frame else {}
+    if (violations := verdicts.get(logic)) is None:
+        violations = verdicts[logic] = validate_model(model, logic)
     if violations:
         return {"kind": "invalid-model", "violations": [str(v) for v in violations]}
     for sf in sorted(formulas, key=lambda s: (s.sign, label_key(s.label),

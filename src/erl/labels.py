@@ -227,6 +227,8 @@ class Closure:
         self._steps: dict = {}                  # kept steps: fact -> (rule, premises)
         self._found: list = []                  # constants a union just put in eps's class
         self.max_card = max_card                # label budget
+        self.shared = False                     # a root every proof reads: never written
+        self.extraction = (None, None)          # (key, index) hintikka built on this store
         self._reset()
 
     def _reset(self) -> None:
@@ -252,6 +254,7 @@ class Closure:
 
     def add(self, *constraints) -> None:
         """Add base constraints and resume saturation."""
+        assert not self.shared, "a shared closure is copied before a write"
         facts = [fact_of(c) for c in constraints]
         self.base.extend(constraints)
         self._base_facts.update(facts)
@@ -338,6 +341,7 @@ class Closure:
         other._up = {u: dict(d) for u, d in self._up.items()}
         other._steps = dict(self._steps)
         other._queue = deque()
+        other.shared = False
         return other
 
     # -- queries -----------------------------------------------------------

@@ -687,8 +687,7 @@ def _level(sig: Signature, extra: int, star: bool) -> Iterator[tuple]:
     call that finds none streams its own generator and keeps what it read
     only once that generator is exhausted.  A call that stops early, or is
     interrupted, keeps nothing."""
-    key = (sig.agents, sig.resources, sig.unit,
-           frozenset(sig.composition.items()), extra, star)
+    key = (sig, extra, star)
     kept = _levels.get(key)
     if kept is not None:
         _levels.move_to_end(key)

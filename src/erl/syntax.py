@@ -85,6 +85,11 @@ class Signature:
             raise SignatureError("invalid signature: " + "; ".join(map(str, violations)))
         return sig
 
+    def __hash__(self):
+        # by value, as equality is; the composition is a dict
+        return hash((self.agents, self.resources, self.unit,
+                     frozenset(self.composition.items())))
+
     def compose(self, r: str, s: str) -> str | None:
         if r == self.unit:
             return s

@@ -15,12 +15,13 @@ constant-free rules first, then additive branching rules, then
 constant-introducing rules, and multiplicative branching rules last, FIFO
 within each class except that a branching class prefers an instance whose
 children all close immediately, and failing that the first one with the
-most closing children.  A branch closes by one of four
-conditions; a saturated open branch with a trustworthy (budget-clean)
-closure yields the model it induces, and refutes when that model validates
-and falsifies the root.  Once a proof is out of reach, branches that can no
-longer refute are pruned (see ``prove``).  Outcomes are three-valued: proved,
-refuted, or unknown with diagnostics.
+most closing children.  Proofs start on a shared root closure
+(``root_closure``), copied on a branch's first write.  A branch closes by
+one of four conditions; a saturated open branch with a trustworthy
+(budget-clean) closure yields the model it induces, and refutes when that
+model validates and falsifies the root.  Once a proof is out of reach,
+branches that can no longer refute are pruned (see ``prove``).  Outcomes
+are three-valued: proved, refuted, or unknown with diagnostics.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ class Branch:
         cs = list(constraints)
         if not cs:
             return
+        if self.closure.shared:
+            self.closure = self.closure.clone()
         before = len(self.closure), self.closure.units
         self.closure.add(*cs)
         if (len(self.closure), self.closure.units) != before:
@@ -332,6 +335,26 @@ class ProofOutcome:
         return out
 
 
+C1 = label(fresh_constant_name(1))     # the root label
+_roots: dict = {}       # (signature, logic, closure budget) -> root closure
+
+
+def root_closure(sig: Signature, config: RunConfig) -> Closure:
+    """The closure of c1 ~ c1 and the signature's products, which hold in
+    every model, so at every root: built once, then shared read-only."""
+    key = (sig, config.logic, config.closure_budget)
+    closure = _roots.get(key)
+    if closure is None:
+        closure = Closure(sorted(sig.agents), erl_star=is_star(config.logic),
+                          max_card=config.closure_budget)
+        closure.add(ResEq(C1, C1), *[
+            ResEq(label(r, s), EPSILON if t == sig.unit else label(t))
+            for (r, s), t in sorted(sig.composition.items())])
+        closure.shared = True
+        _roots[key] = closure
+    return closure
+
+
 class Tableau:
     """A proof search for ``phi`` from ``F phi : c1``: a stack of the open
     branches, the leftmost on top, and a (state, starved, budget_hit) leaf
@@ -351,15 +374,8 @@ class Tableau:
         self.trace: list = []
         self.closed_log: list = []
         self.applications = 0
-        closure = Closure(sorted(sig.agents), erl_star=is_star(config.logic),
-                          max_card=config.closure_budget)
-        root = Branch(next(self.branch_ids), closure)
-        c1 = label(fresh_constant_name(1))
-        # the signature's products hold in every model, so at the root too
-        root.add_constraints([ResEq(c1, c1)] + [
-            ResEq(label(r, s), EPSILON if t == sig.unit else label(t))
-            for (r, s), t in sorted(sig.composition.items())])
-        root.add_signed(SignedFormula(F, phi, c1))
+        root = Branch(next(self.branch_ids), root_closure(sig, config))
+        root.add_signed(SignedFormula(F, phi, C1))
         self.branches: list[Branch] = [root] if root.closed is None else []
         self.leaves: list[tuple[str, bool, bool]] = []
 
@@ -481,17 +497,16 @@ def _saturated(t: Tableau, b: Branch) -> ProofOutcome | str:
         return "closure-budget"
     from . import hintikka      # not at module level: hintikka imports this module
     formulas = b.formulas
-    c1 = label(fresh_constant_name(1))
     model, world, index = hintikka.extract_model(formulas, b.closure, t.sig,
-                                                 designated=c1)
-    failure = hintikka.verify_extraction(model, [SignedFormula(F, t.phi, c1)],
+                                                 designated=C1)
+    failure = hintikka.verify_extraction(model, [SignedFormula(F, t.phi, C1)],
                                          index, logic=t.logic)
     if failure is not None:
         return f"extraction-failed: {failure}"
     branch = {"formulas": sorted(sf.text(t.sig.unit) for sf in formulas),
               "constraints": [str(c) for c in b.closure.base], "closed": None}
     return _outcome(t, "refuted", countermodel=model, world=world, branch=branch,
-                    diagnostics={"warnings": index.warnings} if index.warnings else {})
+                    diagnostics={"warnings": list(index.warnings)} if index.warnings else {})
 
 
 def _outcome(t: Tableau, verdict: str, **fields) -> ProofOutcome:

@@ -314,8 +314,7 @@ def test_level_is_kept_only_once_read_whole():
     # A stream dropped part way through a level keeps none of it; one read
     # whole keeps it, and later calls are handed the same frames.
     sig = Signature.make(["a"], ["e", "r", "s"])
-    key = (sig.agents, sig.resources, sig.unit,
-           frozenset(sig.composition.items()), 1, False)
+    key = (sig, 1, False)
     forget_frames()
     stream = enumerate_models(sig, 1, ["p"], "erl")
     list(islice(stream, 41))            # level 0 has 40 models

@@ -12,7 +12,10 @@ from erl import (And, Atom, Not, RunConfig, Signature, Star,
                  parse_formula, prove, find_countermodel, satisfies,
                  validate_model)
 from erl.labels import AgentEq, Closure, ResEq, label, lmul
-from erl.tableaux import Branch, SignedFormula, Tableau
+from erl.syntax import Unit
+from erl.tableaux import Branch, SignedFormula, Tableau, root_closure
+
+from conftest import random_formula
 
 
 def cfg(logic="erl", **kw):
@@ -50,7 +53,6 @@ def test_init_f_top_closes_by_expansion(sig_a):
 
 
 def test_f_unit_closes_via_constraint(sig_a):
-    from erl.syntax import Unit
     t = Tableau(Unit(), sig_a)
     b = t.branches[-1]
     assert b.closed is None
@@ -113,14 +115,47 @@ def test_branching_rule_shapes(sig_a):
 
 def test_only_holder_writes_in_place(sig_a, monkeypatch):
     # T_imp's right child T q : c1 closes at once against F q : c1, so the
-    # left child alone holds the closure when T_star adds c1 ~ c2.c3
+    # left child alone holds the closure when T_star adds c1 ~ c2.c3: it
+    # copies the shared root once, then writes to its copy in place (T_I)
     copies = []
     clone = Closure.clone
     monkeypatch.setattr(Closure, "clone", lambda cl: copies.append(cl) or clone(cl))
     out = prove(parse_formula("(p -> q) -> (p * I -> q)", sig_a), sig_a, cfg())
     assert out.proved
-    assert [e["rule"] for e in out.trace][:4] == ["F_imp", "F_imp", "T_imp", "T_star"]
-    assert copies == []
+    rules = [e["rule"] for e in out.trace]
+    assert rules[:4] == ["F_imp", "F_imp", "T_imp", "T_star"] and "T_I" in rules
+    assert copies == [root_closure(sig_a, cfg())]
+
+
+def test_equal_signatures_share_one_root():
+    # a signature hashes by value, as it compares; the root record is keyed
+    # on it, so a root is built once per signature, logic and budget
+    sig = Signature.make(["a"], ["e", "r", "s"], "e", [("r", "r", "s")])
+    again = Signature.make(["a"], ["r", "s", "e"], "e", [("r", "r", "s")])
+    assert sig is not again and sig == again and hash(sig) == hash(again)
+    assert root_closure(sig, cfg()) is root_closure(again, cfg())
+    assert root_closure(sig, cfg()) is not root_closure(sig, cfg("erl-star"))
+    assert root_closure(sig, cfg()) is not root_closure(sig, cfg(closure_budget=5))
+    for other in (Signature.make(["a"], ["e", "r", "s"], "e", [("r", "r", "r")]),
+                  Signature.make(["a"], ["e", "r", "s"], "e"),
+                  Signature.make(["a"], ["e", "r", "s"], "s", [("r", "r", "e")])):
+        assert other != sig and root_closure(other, cfg()) is not root_closure(sig, cfg())
+    assert len({sig, again, Signature.make(["a"], ["e", "r", "s"], "s")}) == 2
+
+
+def test_a_direct_write_leaves_the_shared_root(sig_a):
+    # add_constraints is the one writer of a branch closure: on the shared
+    # root it writes to a copy, so no later proof sees the constraint
+    root = root_closure(sig_a, cfg())
+    facts, base = root.facts(), list(root.base)
+    b = Tableau(Unit(), sig_a).branches[-1]
+    assert b.closure is root
+    b.add_constraints([ResEq(label("c1"), ())])
+    assert b.closure is not root and b.closure.has_res(label("c1"), ())
+    assert (root.facts(), root.base) == (facts, base)
+    with pytest.raises(AssertionError):
+        root.add(ResEq(label("c1"), ()))
+    assert prove(Unit(), sig_a, cfg()).refuted
 
 
 def test_closed_child_leaves_the_stack(sig_a):
@@ -197,7 +232,7 @@ def test_prove_trivia(sig_a):
 
 
 def test_prove_bot_refuted(sig_a):
-    from erl.syntax import Bot, Unit
+    from erl.syntax import Bot
     out = prove(Bot(), sig_a, cfg())
     assert out.refuted
     out = prove(Unit(), sig_a, cfg())
@@ -394,3 +429,35 @@ def test_json_does_not_depend_on_the_hash_seed():
             for seed in ("0", "1")]
     assert json.loads(outs[0])["verdict"] == "proved"
     assert outs[0] == outs[1]
+
+
+def history_listing(reverse: bool = False) -> list[str]:
+    """The JSON of ``prove`` on 48 seeded depth-3 formulas, 24 over
+    (a, b; e, r, s) and 24 over (a; e, r, s) with r.r = s, the logics
+    alternating; proved in reverse order when ``reverse``, listed in order."""
+    cases = []
+    for seed, sig in ((3, Signature.make(["a", "b"], ["e", "r", "s"])),
+                      (5, Signature.make(["a"], ["e", "r", "s"], "e", [("r", "r", "s")]))):
+        rng = random.Random(seed)
+        cases += [(random_formula(rng, sig, 3), sig, ("erl", "erl-star")[i % 2])
+                  for i in range(24)]
+    order = range(len(cases))[::-1] if reverse else range(len(cases))
+    out = {i: json.dumps(prove(cases[i][0], cases[i][1], cfg(cases[i][2])).to_json(),
+                         sort_keys=True) for i in order}
+    return [out[i] for i in range(len(cases))]
+
+
+def test_json_does_not_depend_on_what_the_process_proved_before():
+    # proofs share their signature's root closure and the frame extracted
+    # from it; nothing an earlier proof did may show in a later one's JSON
+    here = Path(__file__).resolve().parent
+    src = str(Path(erl.__file__).resolve().parents[1])
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import test_tableaux; "
+            "print(json.dumps(test_tableaux.history_listing()))")
+    fresh = subprocess.run([sys.executable, "-c", code, src, str(here)], check=True,
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONHASHSEED="0")).stdout
+    listing = history_listing()
+    assert history_listing(reverse=True) == listing == json.loads(fresh)
+    verdicts = {json.loads(line)["verdict"] for line in listing}
+    assert {"proved", "refuted"} <= verdicts

@@ -25,12 +25,20 @@ def test_every_traced_span_sees_calls(monkeypatch):
     try:
         tracer.begin_op(0)
         refutable = syntax.parse_formula("[C a; s] p -> [C a; s] [C a; r] p", sig)
+        # a refutation whose branch never writes reads the shared root's
+        # extraction: its extract and verify spans must still be seen
+        root_only = syntax.parse_formula("p -> q", sig)
         provable = syntax.parse_formula("(p -* q) * p -> q", sig)
         # after T_imp splits, its left child adds c1 ~ c2.c3 by T_star
         # while its sibling T q : c1 is open, so it copies the closure they
         # share
         copies = syntax.parse_formula("(p -> q) -> ((p * q) -> (q * p))", sig)
         assert tableaux.prove(refutable, sig, RunConfig()).refuted
+        before = list(tracer.calls)
+        assert tableaux.prove(root_only, sig, RunConfig()).refuted
+        seen = {span: n - m for span, n, m in zip(SPANS, tracer.calls, before)}
+        assert seen["labels.add"] == 0
+        assert seen["hintikka.extract"] == seen["hintikka.verify"] == 1
         assert tableaux.prove(provable, sig, RunConfig()).proved
         assert tableaux.prove(copies, sig, RunConfig()).proved
         assert checker.find_countermodel(refutable, sig, 3, "erl") is not None
